@@ -9,14 +9,13 @@ normal of either side is legitimate.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import QuadratureGrid
-from .measure import node_energies, radii_matrix
+from .measure import node_energies, radii_matrix, write_rows
 from .oval import normals_for_directions
 from .parallel import map_chunks
 from .scene import Scene, check_b_vector
@@ -149,6 +148,7 @@ def validate_transport(scene: Scene, b, grid: QuadratureGrid, tol_rel: float = 1
     radii = radii_matrix(scene, b, grid.nodes)
     labels = np.argmin(radii, axis=1)
     rr = radii[np.arange(n), labels]
+    del radii  # the distance pass below sets the peak memory of a trace
     X = rr[:, None] * grid.nodes
 
     kappa = scene.kappa
@@ -165,6 +165,7 @@ def validate_transport(scene: Scene, b, grid: QuadratureGrid, tol_rel: float = 1
 
     nu = np.concatenate(map_chunks(work, n), axis=0)
     m, _ = _refract_batch(grid.nodes, nu, kappa)
+    del nu
 
     # distance from each refracted line to every target; nearest decides landing
     dists = np.empty((n, scene.n_targets))
@@ -219,13 +220,15 @@ def write_report_json(report: TransportReport, path) -> None:
 
 
 def write_ray_csv(report: TransportReport, grid: QuadratureGrid, path) -> None:
-    """Per-ray dump: node_index, theta, phi, label (1-based), rel_miss, within, crease."""
+    """Per-ray dump: node_index, theta, phi, label (1-based), rel_miss, within, crease.
+
+    CRLF line ends and repr floats, as csv.writer writes them.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index", "theta", "phi", "label", "rel_miss", "within", "crease"])
-        for k in range(grid.n_nodes):
-            writer.writerow([
-                k, repr(float(grid.thetas[k])), repr(float(grid.phis[k])),
-                int(report.labels[k]) + 1, repr(float(report.rel_miss[k])),
-                int(bool(report.within[k])), int(bool(report.crease[k])),
-            ])
+        fh.write("node_index,theta,phi,label,rel_miss,within,crease\r\n")
+        write_rows(fh, "%d,%r,%r,%d,%r,%d,%d\r\n", (
+            np.arange(grid.n_nodes), grid.thetas, grid.phis,
+            np.asarray(report.labels) + 1, np.asarray(report.rel_miss, dtype=float),
+            np.asarray(report.within, dtype=bool).astype(int),
+            np.asarray(report.crease, dtype=bool).astype(int),
+        ))

@@ -20,8 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measure import node_energies, refractor_measure, total_energy
-from .oval import _radius_from_t
+from .measure import MeasureOracle, MeasureVector, node_energies, total_energy
 from .scene import (
     Scene,
     admissible_bounds,
@@ -257,46 +256,6 @@ def estimate_lipschitz(spec_or_fn, lower, upper, t_probe, n_samples=32, seed=0, 
 
 # --- binding to the refractor measure ----------------------------------------
 
-class _CachedMeasureOracle:
-    """Refractor measure with per-coordinate radius caching.
-
-    t = x . P_j never changes, so columns of the radius matrix are recomputed
-    only for coordinates whose b_j moved; values match a fresh full evaluation
-    bitwise.
-    """
-
-    def __init__(self, scene: Scene, grid, energies):
-        from .measure import radii_matrix  # deferred to reuse chunked dot products
-
-        self._scene = scene
-        self._energies = energies
-        self._p_norms = scene.p_norms
-        self._kappa = scene.kappa
-        nodes = grid.nodes
-        pts = scene.points
-        self._t = np.empty((grid.n_nodes, scene.n_targets))
-        for j in range(scene.n_targets):
-            self._t[:, j] = (
-                nodes[:, 0] * pts[j, 0] + nodes[:, 1] * pts[j, 1] + nodes[:, 2] * pts[j, 2]
-            )
-        self._b = None
-        self._radii = np.empty_like(self._t)
-
-    def __call__(self, b):
-        b = np.asarray(b, dtype=float)
-        if self._b is None:
-            changed = range(self._scene.n_targets)
-        else:
-            changed = np.nonzero(b != self._b)[0]
-        for j in changed:
-            self._radii[:, j], _ = _radius_from_t(
-                self._t[:, j], float(b[j]), float(self._p_norms[j]), self._kappa
-            )
-        self._b = b.copy()
-        labels = np.argmin(self._radii, axis=1)
-        return np.bincount(labels, weights=self._energies, minlength=self._scene.n_targets)
-
-
 @dataclass(frozen=True, eq=False)
 class RefractorSolution:
     b: np.ndarray
@@ -344,7 +303,7 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
     alpha = alpha_bound(scene)
     floors = lower + alpha
     b_start = initial_admissible_vector(scene)
-    oracle = _CachedMeasureOracle(scene, grid, energies)
+    oracle = MeasureOracle(scene, grid, energies)
     spec = MonotoneOracleSpec(
         evaluate=oracle, lower=lower, upper=upper, limits=np.full(n, total)
     )
@@ -374,7 +333,8 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
     if m_hat is not None and n > 1:
         trace.group_bound = 2.0 * m_hat / delta * float(np.max(b_start[1:] - floors[1:]))
 
-    mv = refractor_measure(scene, b_final, grid, f_values)
+    # the oracle's last answer, at b_final, is bitwise refractor_measure's there
+    mv = MeasureVector(H=trace.g_final, total=float(trace.g_final.sum()))
     residuals = np.abs(mv.H - g)
     margins = validate_structural(scene)
     supported = bool(all(m > 0.0 for (_, _, m) in margins)) if margins else True

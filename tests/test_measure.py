@@ -1,12 +1,20 @@
 """Cell decomposition, energy measure, and mesh export for poly-oval surfaces."""
 
+import csv
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refractor.geometry import CapDomain, build_quadrature, dir_from_spherical
 from refractor.measure import (
+    ROWS_PER_WRITE,
     CellAssignment,
+    MeasureOracle,
+    SurfaceMesh,
     assign_cells,
     export_mesh,
     flood_vector,
@@ -18,7 +26,7 @@ from refractor.measure import (
     write_label_csv,
     write_obj,
 )
-from refractor.oval import OvalParams, oval_extrema, oval_radius
+from refractor.oval import NonPositiveDiscriminant, OvalParams, oval_extrema, oval_radius
 from refractor.scene import (
     InadmissibleBVector,
     IntensitySpec,
@@ -254,3 +262,184 @@ def test_write_label_csv(canonical_scene, b_init, grid64, tmp_path):
     assert first[0] == "0"
     assert first[5] == "1"  # 1-based target labels
     assert float(first[3]) == float(grid64.weights[0])
+
+
+# --- incremental measure oracle ---------------------------------------------------
+
+# canonical design at 256x256: several cells meet, so labels and creases vary
+B_DESIGN = [1.6, 1.5951188098475972, 1.5951231601142357, 1.6000067538637417]
+
+
+def _tie_scene(canonical_scene):
+    """Canonical targets 1 and 2 plus a copy of target 2: equal b_2, b_3 tie
+    every node where oval 2 is lowest, so the smallest-index rule decides."""
+    pts = canonical_scene.points
+    return Scene(kappa=canonical_scene.kappa, cap=canonical_scene.cap,
+                 targets=tuple(TargetPoint(p.copy(), 1.0) for p in (pts[0], pts[1], pts[1])),
+                 intensity=IntensitySpec(kind="constant", amplitude=1.0),
+                 tau=0.2, r0=0.5, b1=1.6)
+
+
+@pytest.fixture(scope="module")
+def tie_case(canonical_scene):
+    scene = _tie_scene(canonical_scene)
+    return scene, build_quadrature(scene.cap, 24, 24)
+
+
+# the cells share the cap for b_j within a few 1e-3 of 1.595; wider values flood
+B_VALUES = st.one_of(st.sampled_from([1.594, 1.5951, 1.5955, 1.596, 1.6]),
+                     st.floats(1.59, 1.602), st.floats(1.555, 2.1))
+# offsets of b_j around the 2^-40-relative guard: ulps, inside, at and past it
+NUDGES = st.sampled_from([1, -1, 3, -7, 1e-13, -1e-12, 1e-11, -3e-11, 1e-10, -1e-9])
+OPS = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 2), B_VALUES),
+    st.tuples(st.just("nudge"), st.integers(0, 2), NUDGES),
+    st.tuples(st.just("back"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("multi"), st.lists(B_VALUES, min_size=3, max_size=3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=st.lists(B_VALUES, min_size=3, max_size=3),
+       ops=st.lists(OPS, min_size=1, max_size=30))
+def test_oracle_matches_measure_on_any_call_sequence(tie_case, start, ops):
+    """Probes that jump out of the bisection bracket, repeat a value, return
+    to an earlier b, switch coordinate, move several coordinates or land
+    within a few ulps of an earlier probe: every answer is bitwise the fresh
+    measure."""
+    scene, grid = tie_case
+    f = np.ones(grid.n_nodes)
+    oracle = MeasureOracle(scene, grid, node_energies(grid, f))
+    history = [np.array(start, dtype=float)]
+    for op in ops:
+        b = history[-1].copy()
+        if op[0] == "set":
+            b[op[1]] = op[2]
+        elif op[0] == "nudge":
+            step = op[2] * np.spacing(b[op[1]]) if isinstance(op[2], int) else op[2]
+            b[op[1]] += step
+        elif op[0] == "back":
+            b = history[op[1] % len(history)].copy()
+        else:
+            b = np.array(op[1], dtype=float)
+        history.append(b)
+    for b in history:
+        got = oracle(b)
+        assert np.array_equal(got, refractor_measure(scene, b, grid, f).H), b
+
+
+def test_oracle_probe_next_to_breakpoint(canonical_scene, grid64):
+    """A probe one ulp from an evaluated b_j decides no node from it; the
+    probes after it see the labels of their own b_j."""
+    f = canonical_scene.intensity.values(grid64)
+    oracle = MeasureOracle(canonical_scene, grid64, node_energies(grid64, f))
+    b = np.array(B_DESIGN)
+    near = np.nextafter(1.5948, 2.0)
+    seen = set()
+    for bj in (B_DESIGN[1], 1.5948, near, B_DESIGN[1], near, 1.5955, near, 1.5948,
+               1.5953, near - 1e-12):
+        b[1] = bj
+        H = refractor_measure(canonical_scene, b, grid64, f).H
+        assert np.array_equal(oracle(b), H), bj
+        seen.add(tuple(H))
+    assert len(seen) >= 4
+
+
+def test_oracle_raises_nonpositive_discriminant(canonical_scene, grid64):
+    """The discriminant check runs on every node the oracle evaluates: a node
+    at 1.2 P_2 / |P_2| has t = 1.2 |P_2|, so its discriminant is negative for
+    b_2 near t, both in a full evaluation and in a probe that re-evaluates it."""
+    p = canonical_scene.points[1]
+    nodes = np.vstack([grid64.nodes[:300], 1.2 * p / np.linalg.norm(p)])
+    grid = SimpleNamespace(nodes=nodes, n_nodes=len(nodes))
+    e = np.ones(len(nodes))
+
+    def fresh(b):
+        labels = np.argmin(radii_matrix(canonical_scene, b, nodes), axis=1)
+        return np.bincount(labels, weights=e, minlength=4)
+
+    b = np.array([3.0, 2.0, 3.0, 3.0])   # the extra node sits in cell 2
+    bad = b.copy()
+    bad[1] = 3.0
+    with pytest.raises(NonPositiveDiscriminant):
+        fresh(bad)
+    with pytest.raises(NonPositiveDiscriminant):
+        MeasureOracle(canonical_scene, grid, e)(bad)
+
+    oracle = MeasureOracle(canonical_scene, grid, e)
+    assert np.array_equal(oracle(b), fresh(b))
+    with pytest.raises(NonPositiveDiscriminant):
+        oracle(bad)
+    ok = b.copy()
+    ok[1] = 2.2
+    assert np.array_equal(oracle(ok), fresh(ok))
+
+
+# --- writers against line-by-line references --------------------------------------
+
+def _reference_faces(n_theta, n_phi):
+    faces = []
+    for k in range(n_theta - 1):
+        for l in range(n_phi):
+            a = k * n_phi + l
+            bb = k * n_phi + (l + 1) % n_phi
+            c = (k + 1) * n_phi + (l + 1) % n_phi
+            d = (k + 1) * n_phi + l
+            faces.append((a, bb, c))
+            faces.append((a, c, d))
+    return np.array(faces, dtype=int)
+
+
+def _reference_obj(mesh, path):
+    with open(path, "w") as fh:
+        fh.write("# poly-oval refractor surface\n")
+        for v in mesh.vertices:
+            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
+        for n in mesh.normals:
+            fh.write(f"vn {float(n[0])!r} {float(n[1])!r} {float(n[2])!r}\n")
+        for f in mesh.faces:
+            a, b, c = (int(i) + 1 for i in f)
+            fh.write(f"f {a}//{a} {b}//{b} {c}//{c}\n")
+
+
+def _reference_label_csv(path, grid, f_values, assignment):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node_index", "theta", "phi", "weight", "f", "label"])
+        for k in range(grid.n_nodes):
+            writer.writerow([
+                k, repr(float(grid.thetas[k])), repr(float(grid.phis[k])),
+                repr(float(grid.weights[k])), repr(float(f_values[k])),
+                int(assignment.labels[k]) + 1,
+            ])
+
+
+def test_export_mesh_faces_match_loop(canonical_scene, b_init):
+    for n_theta, n_phi in ((2, 3), (5, 7), (128, 256)):
+        mesh = export_mesh(canonical_scene, b_init, n_theta, n_phi)
+        ref = _reference_faces(n_theta, n_phi)
+        assert mesh.faces.dtype == ref.dtype
+        assert np.array_equal(mesh.faces, ref)
+
+
+def test_write_obj_bytes_match_reference(canonical_scene, tmp_path):
+    mesh = export_mesh(canonical_scene, B_DESIGN, 96, 200)
+    assert len(mesh.vertices) > ROWS_PER_WRITE
+    odd = np.array([[-0.0, 5e-324, 1e300], [0.1, 1.0 / 3.0, -2.5e-17], [1.0, 2.0, 3.0]])
+    tiny = SurfaceMesh(vertices=odd, normals=odd[::-1].copy(),
+                       faces=np.array([[0, 1, 2], [2, 1, 0]]), labels=np.zeros(3, dtype=int))
+    for m in (mesh, tiny):
+        write_obj(m, tmp_path / "got.obj")
+        _reference_obj(m, tmp_path / "ref.obj")
+        assert (tmp_path / "got.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+
+
+def test_write_label_csv_bytes_match_reference(canonical_scene, tmp_path):
+    grid = build_quadrature(canonical_scene.cap, 160, 128)
+    assert grid.n_nodes > ROWS_PER_WRITE
+    f = canonical_scene.intensity.values(grid)
+    assignment = assign_cells(canonical_scene, B_DESIGN, grid)
+    assert len(np.unique(assignment.labels)) == 4
+    write_label_csv(tmp_path / "got.csv", grid, f, assignment)
+    _reference_label_csv(tmp_path / "ref.csv", grid, f, assignment)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -4,6 +4,8 @@ Frozen reference values come from hand evaluation of the closed forms at
 kappa=0.5, P=(0,0,2), b=1.5, x=(sqrt(0.19), 0, 0.9).
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,9 +69,10 @@ def test_delta_two_forms_agree(kappa, p, bfrac, tfrac):
     b = kappa * p + bfrac * (p - kappa * p)
     t = tfrac * p
     d = delta(t, b, p, kappa)
-    k2 = kappa * kappa
-    alt = (b - k2 * t) ** 2 - (1 - k2) * (b * b - k2 * p * p)
-    assert abs(d - alt) <= 1e-12 * max(abs(d), abs(alt), 1e-300)
+    # the textbook form cancels to ~1e-12 relative in floats, so take it exactly
+    K, B, T, P = (Fraction(v) for v in (kappa, b, t, p))
+    alt = (B - K * K * T) ** 2 - (1 - K * K) * (B * B - K * K * P * P)
+    assert abs(Fraction(float(d)) - alt) <= Fraction(1e-12) * abs(alt)
     assert d > 0
 
 

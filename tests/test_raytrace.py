@@ -1,12 +1,13 @@
 """Forward ray verification: landing accuracy and energy reconciliation."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from refractor.geometry import normalize
-from refractor.measure import total_energy
+from refractor.geometry import build_quadrature, normalize
+from refractor.measure import ROWS_PER_WRITE, total_energy
 from refractor.oval import OvalParams, oval_extrema
 from refractor.raytrace import (
     TotalInternalReflection,
@@ -177,3 +178,26 @@ def test_report_files(canonical_scene, grid64, tmp_path):
     first = lines[1].split(",")
     assert first[3] == "1"        # 1-based labels
     assert first[5] == "1" and first[6] == "0"
+
+
+def _reference_ray_csv(report, grid, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node_index", "theta", "phi", "label", "rel_miss", "within", "crease"])
+        for k in range(grid.n_nodes):
+            writer.writerow([
+                k, repr(float(grid.thetas[k])), repr(float(grid.phis[k])),
+                int(report.labels[k]) + 1, repr(float(report.rel_miss[k])),
+                int(bool(report.within[k])), int(bool(report.crease[k])),
+            ])
+
+
+def test_write_ray_csv_bytes_match_reference(canonical_scene, tmp_path):
+    grid = build_quadrature(canonical_scene.cap, 160, 128)
+    assert grid.n_nodes > ROWS_PER_WRITE
+    b = [1.6, 1.5951188098475972, 1.5951231601142357, 1.6000067538637417]
+    rep = validate_transport(canonical_scene, b, grid)
+    assert len(np.unique(rep.labels)) == 4 and 0 < rep.n_crease < rep.n_rays
+    write_ray_csv(rep, grid, tmp_path / "got.csv")
+    _reference_ray_csv(rep, grid, tmp_path / "ref.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -8,8 +8,9 @@ binding is then exercised on small grids.
 import numpy as np
 import pytest
 
+from refractor import solver as solver_module
 from refractor.geometry import build_quadrature
-from refractor.measure import refractor_measure, total_energy
+from refractor.measure import MeasureOracle, refractor_measure, total_energy
 from refractor.scene import (
     admissible_bounds,
     alpha_bound,
@@ -294,6 +295,33 @@ def test_solve_refractor_canonical_coarse(canonical_scene, grid64):
     assert sol.trace.lipschitz_estimate > 0.0
     assert sol.trace.group_bound is not None
     assert sol.bound_supported is True
+
+
+@pytest.mark.parametrize("scene_name, eps_rel", [("canonical", 2e-2), ("mirror", 1e-2)])
+def test_solve_refractor_oracle_replay_bitwise(scene_name, eps_rel, canonical_scene,
+                                               mirror_scene, monkeypatch):
+    """Every answer the oracle gives in a whole solve, Lipschitz samples and
+    bisection probes alike, is bitwise the fresh measure at the same b."""
+    scene = {"canonical": canonical_scene, "mirror": mirror_scene}[scene_name]
+    grid = build_quadrature(scene.cap, 64, 64)
+    f_values = scene.intensity.values(grid)
+    calls = []
+
+    class Recording(MeasureOracle):
+        def __call__(self, b):
+            H = super().__call__(b)
+            calls.append((np.array(b, dtype=float), H.copy()))
+            return H
+
+    monkeypatch.setattr(solver_module, "MeasureOracle", Recording)
+    config = SolverConfig(epsilon=eps_rel * total_energy(grid, f_values))
+    sol = solve_refractor(scene, grid, config)
+    assert sol.trace.converged and sol.trace.groups_used >= 1
+    # each Lipschitz sample: one evaluation plus at most one probe per coordinate
+    n_lip = config.lipschitz_samples * (scene.n_targets + 1)
+    assert sol.trace.total_evals < len(calls) <= sol.trace.total_evals + n_lip
+    for b, H in calls:
+        assert np.array_equal(H, refractor_measure(scene, b, grid, f_values).H), b
 
 
 def test_solve_refractor_default_epsilon_needs_fine_grid(canonical_scene, grid64):
