@@ -1,15 +1,18 @@
 """Command line driver: validate scenes, solve for b, trace rays, export meshes.
 
-Exit codes: 0 success, 2 scene/parameter validation failure, 3 quadrature too
-coarse for the requested tolerance, 4 group budget exhausted.
+Exit codes: 0 success, 1 residuals above epsilon (solve), 2 scene, parameter
+or output path failure, 3 quadrature too coarse for the requested tolerance,
+4 group budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +34,8 @@ EXIT_VALIDATION = 2
 EXIT_QUANTIZATION = 3
 EXIT_MAX_GROUPS = 4
 
+OUTPUT_FLAGS = ("json", "out", "log", "labels", "rays")   # attributes naming files to write
+
 
 def _parse_dims(s: str):
     try:
@@ -38,6 +43,22 @@ def _parse_dims(s: str):
         return int(a), int(b)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected NxM, got {s!r}")
+
+
+def _check_args(args) -> None:
+    """Refuse bad numeric flags and unwritable output paths before any work."""
+    eps = getattr(args, "epsilon", None)
+    if eps is not None and not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"--epsilon must be a positive finite number, got {eps!r}")
+    for flag in OUTPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        path = Path(path)
+        if path.is_dir():
+            raise ValueError(f"--{flag} {path} is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"--{flag} {path}: directory {path.parent} does not exist")
 
 
 def _load_b(args, n_targets: int) -> np.ndarray:
@@ -80,11 +101,7 @@ def run_validate(args) -> int:
 def run_solve(args) -> int:
     scene = load_scene(args.scene)
     grid = build_quadrature(scene.cap, *args.grid)
-    config = SolverConfig(
-        epsilon=args.epsilon,
-        bracket_tol=args.bracket_tol,
-        max_groups=args.max_groups,
-    )
+    config = SolverConfig(epsilon=args.epsilon, max_groups=args.max_groups)
     t0 = time.perf_counter()
     sol = solve_refractor(scene, grid, config)
     wall = time.perf_counter() - t0
@@ -178,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="absolute energy tolerance (default 1e-3 * total)")
     p.add_argument("--grid", type=_parse_dims, default=(256, 256))
     p.add_argument("--max-groups", type=int, default=10000)
-    p.add_argument("--bracket-tol", type=float, default=1e-9)
     p.add_argument("--out", default="result.json")
     p.add_argument("--log", default="trace.csv", help="convergence CSV ('' disables)")
     p.add_argument("--labels", default=None, help="per-node label CSV")
@@ -209,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.fn(args)
-    except (SceneValidationError, TotalInternalReflection, FileNotFoundError,
+    except (SceneValidationError, TotalInternalReflection, OSError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

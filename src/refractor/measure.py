@@ -6,19 +6,18 @@ H_i(b) sums the per-node energies f*w over cell i. Summation is sequential in
 node order, so refining b_i monotonically grows H_i bitwise, not just up to
 roundoff.
 
-MeasureOracle serves the solver's many evaluations of H. While a bisection
-moves a single b_j, a node's cell can change only between j and the lowest of
-the other ovals there, and it is in cell j exactly when b_j lies below the
-node's switch value. The oracle therefore keeps the nodes split by the values
-of b_j it has evaluated and computes h_j only on the nodes whose switch value
-lies between the two evaluated values nearest the probe. Every node is still
-labelled on every call and H is the bincount of all labels in node order, so
-each answer is bitwise the one refractor_measure computes.
+MeasureOracle serves the solver's many evaluations of H. When a call moves a
+single b_j, a node's cell can change only between j and the lowest of the
+other ovals there, so the oracle evaluates the oval-j radius alone and
+compares it with that held minimum. Every node is still labelled on every
+call and H is the bincount of all labels in node order, so each answer is
+bitwise the one refractor_measure computes. The same held minimum gives each
+node's switch value of b_j, below which it lies in cell j, and from these
+MeasureOracle.crossing finds in closed form where H_j reaches a target value.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +27,12 @@ from .oval import _radius_from_t, normals_for_directions
 from .parallel import map_chunks
 from .scene import Scene, check_b_vector
 
-TIE_REL = 1e-12
-# evaluated b_j closer to a probe than GUARD_REL (|b_j| + max|t| + |P_j|) / (1 - kappa^2)
-# decide no node there; the rounding error of h is a few ulps of |b_j| + |t| + |P_j|
-GUARD_REL = 2.0 ** -40
 ROWS_PER_WRITE = 16384   # CSV/OBJ rows formatted per write: bounded memory, few calls
 
 
 @dataclass(frozen=True, eq=False)
 class CellAssignment:
     labels: np.ndarray  # (n,) int, 0-based target index per node
-    ties: np.ndarray    # (n,) bool, two smallest radii within TIE_REL * rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,19 +71,9 @@ def rho(scene: Scene, b, x):
     return float(radii[label]), label
 
 
-def _assign(radii: np.ndarray) -> CellAssignment:
-    labels = np.argmin(radii, axis=1)
-    if radii.shape[1] == 1:
-        ties = np.zeros(radii.shape[0], dtype=bool)
-    else:
-        two = np.partition(radii, 1, axis=1)
-        ties = (two[:, 1] - two[:, 0]) < TIE_REL * two[:, 0]
-    return CellAssignment(labels=labels, ties=ties)
-
-
 def assign_cells(scene: Scene, b, grid: QuadratureGrid) -> CellAssignment:
     """Label every grid node with the target whose oval sits lowest there."""
-    return _assign(radii_matrix(scene, b, grid.nodes))
+    return CellAssignment(labels=np.argmin(radii_matrix(scene, b, grid.nodes), axis=1))
 
 
 def node_energies(grid: QuadratureGrid, f_values: np.ndarray) -> np.ndarray:
@@ -114,17 +98,19 @@ def refractor_measure(scene: Scene, b, grid: QuadratureGrid, f_values) -> Measur
 
 
 class MeasureOracle:
-    """H(b) for one scene and grid, re-evaluating only the undecided nodes.
+    """H(b) for one scene and grid, bitwise what refractor_measure returns.
 
-    Every call returns bitwise what refractor_measure returns at the same b.
     The rows t_j = x . P_j and h_j = h(x, P_j, base_j) are kept target-major,
-    so each row is contiguous. A call that moves several coordinates
-    recomputes those rows and labels the nodes by a strict-less minimum chain
-    over the rows, which keeps argmin's smallest-index tie rule. A call that
-    moves the single coordinate j is a probe of b_j, answered by a
-    _CoordinateSplit that evaluates h_j only on the nodes whose cell is not
-    yet decided. Either way the label array is complete and H is its bincount
-    in node order, so the summation order never changes.
+    so each row is contiguous, and a call recomputes only the rows whose b_j
+    moved. A call that moves several coordinates labels the nodes by a
+    strict-less minimum chain over the rows, which keeps argmin's
+    smallest-index tie rule. While the calls move the single coordinate j,
+    the oracle holds low and arg, the minimum and first-index argmin of the
+    other rows. Node k is in cell j when h_j < low, or h_j == low and j < arg;
+    the tie case is folded into one test h_j < low by taking the next float
+    above low where j < arg. Such a call evaluates row j and labels the nodes
+    by where(h_j < low, j, arg). Either way H is the bincount of all labels in
+    node order, so the summation order never changes.
     """
 
     def __init__(self, scene: Scene, grid: QuadratureGrid, energies):
@@ -137,40 +123,86 @@ class MeasureOracle:
         self._t = np.empty((scene.n_targets, grid.n_nodes))
         for j in range(scene.n_targets):
             self._t[j] = nodes[:, 0] * pts[j, 0] + nodes[:, 1] * pts[j, 1] + nodes[:, 2] * pts[j, 2]
-        self._t_scale = np.max(np.abs(self._t), axis=1, initial=0.0) + self._p_norms
         self._radii = np.empty_like(self._t)
         self._base = np.full(scene.n_targets, np.nan)  # b_j of radius row j; NaN = stale
         self._labels = None
-        self._split = None   # _CoordinateSplit while the calls move one coordinate
+        self._others = None  # (j, low, arg) of the rows other than j
         self._b = None       # b of the last completed call, with its H
         self._H = None
 
     def __call__(self, b) -> np.ndarray:
+        return self._measure(b).copy()
+
+    def crossing(self, b, j: int, f_j: float):
+        """The b_j below b[j] where H_j, as b_j falls, first reaches f_j.
+
+        Node k is in cell j exactly when b_j lies below its switch value
+        s_k = r_k + kappa |r_k x_k - P_j|, the oval's defining identity at
+        X = r_k x_k, where r_k is the other ovals' minimum radius there. So
+        H_j is a step function of b_j, and its steps are the energies of the
+        nodes outside cell j taken in descending s. The answer lies in the
+        middle of the gap between the switch value where their energy first
+        reaches f_j - H_j(b) and the next smaller distinct one; equal switch
+        values make one step. Returns None when the nodes outside cell j hold
+        too little energy or no smaller switch value is left. The caller
+        checks the answer with a call of the oracle.
+
+        The oracle sums H_j in node order and this method in switch order;
+        the two sums differ by less than n ulps of f_j, so the energy must
+        clear f_j - H_j(b) by that much.
+        """
+        n = self._energies.size
+        need = f_j - self._measure(b)[j] + n * np.finfo(float).eps * abs(f_j)
+        low, _ = self._others_of(j)
+        out = np.flatnonzero(self._labels != j)
+        e = self._energies[out]
+        e_sum = e.sum()
+        if not 0.0 < need <= e_sum:
+            return None
+        r = low[out]
+        s = r + self._kappa * np.sqrt(r * r - 2.0 * r * self._t[j, out] + self._p_norms[j] ** 2)
+        # the crossing lies among the largest switch values; widen until it does
+        n_out = out.size
+        k = min(n_out, int(2.0 * n_out * need / e_sum) + 16)
+        while True:
+            top = np.argpartition(s, n_out - k)[n_out - k:]
+            top = top[np.argsort(-s[top])]
+            s_top = s[top]
+            m = int(np.searchsorted(np.cumsum(e[top]), need))
+            if m < k:
+                below = np.flatnonzero(s_top[m + 1:] < s_top[m])
+                if below.size:
+                    return 0.5 * (float(s_top[m]) + float(s_top[m + 1 + below[0]]))
+            if k == n_out:
+                return None
+            k = min(n_out, 2 * k)
+
+    def _measure(self, b) -> np.ndarray:
         b = np.array(b, dtype=float)
         if self._b is not None and np.array_equal(b, self._b):
-            return self._H.copy()
+            return self._H
         self._b = None
         changed = np.flatnonzero(b != self._base)
-        split = self._split
-        if split is not None and np.any(changed != split.j):
-            # the probes of b_j are over: bring row j to its new value first
-            j, self._split, split = split.j, None, None
-            self._set_rows(b, changed[changed == j])
-            changed = changed[changed != j]
-        if split is None:
-            if changed.size == 1:
-                j = int(changed[0])
-                if np.isnan(self._base[j]):
-                    self._set_rows(b, [j])
-                self._split = split = _CoordinateSplit(self, j)
-            else:
-                self._set_rows(b, changed)
-                self._labels = _lowest(self._radii, range(self._n_targets))[1]
-        if split is not None:
-            split.probe(float(b[split.j]))
-        H = np.bincount(self._labels, weights=self._energies, minlength=self._n_targets)
-        self._b, self._H = b, H
-        return H.copy()
+        if changed.size == 1:
+            j = int(changed[0])
+            low, arg = self._others_of(j)
+            self._set_rows(b, [j])
+            self._labels = np.where(self._radii[j] < low, j, arg)
+        elif changed.size:
+            self._others = None
+            self._set_rows(b, changed)
+            self._labels = _lowest(self._radii, range(self._n_targets))[1]
+        self._H = np.bincount(self._labels, weights=self._energies, minlength=self._n_targets)
+        self._b = b
+        return self._H
+
+    def _others_of(self, j: int):
+        """low and arg of the rows other than j, with the tie fold for j."""
+        if self._others is None or self._others[0] != j:
+            low, arg = _lowest(self._radii, [i for i in range(self._n_targets) if i != j])
+            np.nextafter(low, np.inf, out=low, where=arg > j)
+            self._others = (j, low, arg)
+        return self._others[1:]
 
     def _set_rows(self, b, rows) -> None:
         for j in rows:
@@ -191,87 +223,6 @@ def _lowest(radii: np.ndarray, rows):
         np.copyto(arg, i, where=less)
         np.copyto(low, radii[i], where=less)
     return low, arg
-
-
-class _CoordinateSplit:
-    """The nodes split by the values of b_j evaluated so far, the rest fixed.
-
-    With low and arg the minimum and first-index argmin of the other radius
-    rows, node k is in cell j when h_j < low, or h_j == low and j < arg; the
-    tie case is folded into one test h_j < low_j by taking low_j as the next
-    float above low where j < arg. h_j rises with b_j at a rate of at least
-    1/(1 + kappa), so each node leaves cell j at one switch value of b_j.
-    perm lists the nodes bin by bin: bin c holds the nodes in cell j at the
-    c smallest breakpoints and outside it at the others. A probe between two
-    breakpoints evaluates h_j on that bin only, then splits it in two.
-
-    Rounding keeps the computed h_j monotone only between values of b_j that
-    lie `guard` apart or more (see GUARD_REL); h can fall when b_j rises by
-    a single ulp. A breakpoint closer than guard to a probe decides no node,
-    and such a probe evaluates the bins around it without becoming a
-    breakpoint itself.
-    """
-
-    def __init__(self, oracle: MeasureOracle, j: int):
-        radii = oracle._radii
-        n = radii.shape[1]
-        low, arg = _lowest(radii, [i for i in range(oracle._n_targets) if i != j])
-        np.nextafter(low, np.inf, out=low, where=arg > j)
-        inside = radii[j] < low
-        n_out = n - int(np.count_nonzero(inside))
-        self.j = j
-        self.t = oracle._t[j]
-        self.p_norm = float(oracle._p_norms[j])
-        self.kappa = oracle._kappa
-        self.guard_scale = float(oracle._t_scale[j])
-        self.guard_rel = GUARD_REL / (1.0 - self.kappa ** 2)
-        self.low = low
-        self.arg = arg
-        self.perm = np.concatenate((np.flatnonzero(~inside), np.flatnonzero(inside)))
-        self.breakpoints = [float(oracle._base[j])]
-        self.offsets = [0, n_out, n]     # bin c is perm[offsets[c]:offsets[c + 1]]
-        self.labels = oracle._labels = np.where(inside, j, arg)
-        self.cut = n_out                 # labels say cell j exactly for perm[cut:]
-
-    def probe(self, bj: float) -> None:
-        """Relabel the nodes for b_j = bj."""
-        bps, offs = self.breakpoints, self.offsets
-        c = bisect_left(bps, bj)
-        if c < len(bps) and bps[c] == bj:
-            self._move_cut(offs[c + 1], offs[c + 1], offs[c + 1])
-            return
-        guard = self.guard_rel * (abs(bj) + self.guard_scale)
-        lo = bisect_right(bps, bj - guard)
-        hi = bisect_left(bps, bj + guard)
-        s, e = offs[lo], offs[hi + 1]
-        idx = self.perm[s:e]
-        h, _ = _radius_from_t(self.t[idx], bj, self.p_norm, self.kappa)
-        inside = h < self.low[idx]
-        if lo == hi:
-            n_out = idx.size - int(np.count_nonzero(inside))
-            self.perm[s:e] = np.concatenate((idx[~inside], idx[inside]))
-            bps.insert(lo, bj)
-            offs.insert(lo + 1, s + n_out)
-            self._move_cut(s + n_out, s, e)
-        else:
-            self._move_cut(e, s, e)
-            self.labels[idx[inside]] = self.j
-            self.cut = None
-
-    def _move_cut(self, cut: int, lo: int, hi: int) -> None:
-        """Label perm[:cut] by arg and perm[cut:] as cell j.
-
-        Only perm[lo:hi] and the stretch up to the previous cut can differ
-        from the labels already held; without a previous cut all are set.
-        """
-        if self.cut is None:
-            lo, hi = 0, self.perm.size
-        else:
-            lo, hi = min(lo, self.cut), max(hi, self.cut)
-        out = self.perm[lo:cut]
-        self.labels[out] = self.arg[out]
-        self.labels[self.perm[cut:hi]] = self.j
-        self.cut = cut
 
 
 def flood_vector(scene: Scene, b, i: int) -> np.ndarray:

@@ -4,10 +4,16 @@ The oracle G maps a parameter vector b to per-target energies and must be
 continuous, non-increasing in its own coordinate, non-decreasing in the
 others, and flood toward a limit C_i as b_i drops to its lower limit. The
 solver sweeps coordinates 2..N in groups: wherever G_j sits below its band
-[f_j - delta, f_j + delta] it bisects b_j down to the crossing of f_j and
-lands G_j inside [f_j, f_j + delta]. A group that changes nothing certifies
+[f_j - delta, f_j + delta] it lowers b_j to the crossing of f_j and lands G_j
+inside [f_j, f_j + delta]. A group that changes nothing certifies
 |G_j - f_j| <= delta for all adjustable coordinates, and conservation then
 pins the first coordinate's residual to at most N*delta.
+
+By default the crossing is found by bisection on G alone. A caller that
+knows the oracle's step function can pass a crossing(b, j, f_j) function to
+solve; its answer is tried first and kept when one oracle call lands it in
+the band, so a step costs two calls. The refractor binding passes
+MeasureOracle.crossing.
 
 The first coordinate is never adjusted; it anchors the family.
 """
@@ -108,13 +114,16 @@ class _CountingOracle:
         return np.asarray(self._fn(b), dtype=float)
 
 
-def adjust_coordinate(oracle, j, b, f_j, delta, floor_j, bracket_tol=1e-9):
+def adjust_coordinate(oracle, j, b, f_j, delta, floor_j, bracket_tol=1e-9, crossing=None):
     """Lower coordinate j until G_j lands in [f_j, f_j + delta].
 
     No-op (and a single oracle call) when G_j already sits in the test band
-    [f_j - delta, f_j + delta]. Otherwise bisects on [floor_j, b_j], keeping
-    G(lo) >= f_j and G(hi) < f_j, down to bracket_tol, and returns the lo end:
-    the least decrease that reaches f_j. Returns (b_new, StepRecord-fields).
+    [f_j - delta, f_j + delta]. Otherwise, given crossing, it takes
+    crossing(b, j, f_j) as b_j if that lies in [floor_j, b_j) and one oracle
+    call there lands G_j in the band. Failing that, it bisects on
+    [floor_j, b_j], keeping G(lo) >= f_j and G(hi) < f_j, down to bracket_tol,
+    and returns the lo end: the least decrease that reaches f_j. Returns
+    (b_new, StepRecord-fields).
     """
     b = np.asarray(b, dtype=float)
     calls = 0
@@ -136,6 +145,17 @@ def adjust_coordinate(oracle, j, b, f_j, delta, floor_j, bracket_tol=1e-9):
         )
     if floor_j > b[j]:
         raise ValueError(f"floor {floor_j!r} above current coordinate {float(b[j])!r}")
+
+    def moved(bj):
+        b_new = b.copy()
+        b_new[j] = bj
+        return b_new
+
+    guess = crossing(b, j, f_j) if crossing is not None else None
+    if guess is not None and floor_j <= guess < b[j]:
+        g_guess = g_at(guess)
+        if f_j <= g_guess <= f_j + delta:
+            return moved(guess), g_before, g_guess, calls, True
 
     g_floor = g_at(floor_j)
     if g_floor < f_j:
@@ -159,14 +179,14 @@ def adjust_coordinate(oracle, j, b, f_j, delta, floor_j, bracket_tol=1e-9):
             f"coordinate {j}: bracket below {bracket_tol!r} with G = {g_lo!r} "
             f"outside [f, f + delta] = [{f_j!r}, {f_j + delta!r}]; refine the grid or relax epsilon"
         )
-    b_new = b.copy()
-    b_new[j] = lo
-    return b_new, g_before, g_lo, calls, True
+    return moved(lo), g_before, g_lo, calls, True
 
 
-def solve(spec: MonotoneOracleSpec, f, b_start, config: SolverConfig, floors=None):
+def solve(spec: MonotoneOracleSpec, f, b_start, config: SolverConfig, floors=None,
+          crossing=None):
     """Run grouped coordinate adjustments until a group changes nothing.
 
+    crossing, if given, proposes each adjusted coordinate (adjust_coordinate).
     Returns (b_final, SolverTrace). Raises MaxGroupsExceeded when the group
     budget runs out; QuantizationTooCoarse / FloorReached propagate from the
     per-coordinate adjustment.
@@ -199,7 +219,8 @@ def solve(spec: MonotoneOracleSpec, f, b_start, config: SolverConfig, floors=Non
         changed_any = False
         for pos, j in enumerate(range(1, n), start=1):
             b_new, g_before, g_after, evals, changed = adjust_coordinate(
-                oracle, j, b, float(f[j]), delta, float(floors[j]), config.bracket_tol
+                oracle, j, b, float(f[j]), delta, float(floors[j]), config.bracket_tol,
+                crossing,
             )
             trace.steps.append(StepRecord(
                 group=group, position=pos, coordinate=j,
@@ -274,7 +295,8 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
 
     Binds the abstract solver to the refractor measure: floors at
     kappa|P_i| + alpha, start from the all-into-cell-1 vector, flooding limits
-    equal to the total source energy.
+    equal to the total source energy, and each step proposed by the oracle's
+    closed-form crossing.
     """
     config = config or SolverConfig()
     f_values = scene.intensity.values(grid)
@@ -328,7 +350,8 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
         max_groups=config.max_groups, guard=alpha,
         lipschitz_samples=0,
     )
-    b_final, trace = solve(spec, g, b_start, run_config, floors=floors)
+    b_final, trace = solve(spec, g, b_start, run_config, floors=floors,
+                           crossing=oracle.crossing)
     trace.lipschitz_estimate = m_hat
     if m_hat is not None and n > 1:
         trace.group_bound = 2.0 * m_hat / delta * float(np.max(b_start[1:] - floors[1:]))

@@ -5,6 +5,7 @@ import pytest
 
 from refractor import load_scene
 from refractor.geometry import build_quadrature
+from refractor.solver import solve_refractor
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCENES = REPO / "scenes"
@@ -33,6 +34,12 @@ def grid64(canonical_scene):
 @pytest.fixture(scope="session")
 def grid256(canonical_scene):
     return build_quadrature(canonical_scene.cap, 256, 256)
+
+
+@pytest.fixture(scope="session")
+def solution256(canonical_scene, grid256):
+    """In-process 256x256 solve at the default tolerance."""
+    return solve_refractor(canonical_scene, grid256)
 
 
 @pytest.fixture

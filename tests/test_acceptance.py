@@ -41,7 +41,6 @@ from refractor.solver import (
     MonotoneOracleSpec,
     SolverConfig,
     solve,
-    solve_refractor,
 )
 from refractor.raytrace import validate_transport
 
@@ -88,12 +87,6 @@ def run_solve_512(tmp_dir: Path, tag: str, threads: str):
 def solve512(tmp_path_factory):
     """Single-threaded 512x512 command-line solve of the canonical scene."""
     return run_solve_512(tmp_path_factory.mktemp("acc512"), "t1", "1")
-
-
-@pytest.fixture(scope="session")
-def solution256(canonical_scene, grid256):
-    """In-process 256x256 solve at the default tolerance."""
-    return solve_refractor(canonical_scene, grid256)
 
 
 # -------------------------------------------------------------------------------

@@ -196,3 +196,66 @@ def test_solve_deterministic_across_workers(tmp_path, monkeypatch):
     del r1["wall_time"], r4["wall_time"]
     assert json.dumps(r1, sort_keys=True) == json.dumps(r4, sort_keys=True)
     assert log1.read_bytes() == log4.read_bytes()
+
+
+# --- refused before any work --------------------------------------------------------
+
+@pytest.mark.parametrize("flag", ["--out", "--log", "--labels"])
+def test_solve_rejects_directory_output(tmp_path, capsys, flag):
+    out = tmp_path / "result.json"
+    argv = ["solve", CANONICAL, "--grid", "64x64", "--epsilon", repr(canonical_epsilon()),
+            "--out", str(out), "--log", ""]
+    assert main(argv + [flag, str(tmp_path)]) == 2     # the last --out wins
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", CANONICAL, "--out", "{missing}/result.json"],
+    ["solve", CANONICAL, "--out", "{tmp}/result.json", "--log", "{missing}/trace.csv"],
+    ["trace", CANONICAL, "--b-file", "{b}", "--out", "{missing}/transport.json"],
+    ["trace", CANONICAL, "--b-file", "{b}", "--rays", "{tmp}"],
+    ["mesh", CANONICAL, "--b-file", "{b}", "--out", "{missing}/surface.obj"],
+    ["mesh", CANONICAL, "--b-file", "{b}", "--out", "{tmp}"],
+    ["validate", CANONICAL, "--json", "{missing}/report.json"],
+])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    b_file = tmp_path / "b.json"
+    b_file.write_text("[1.6, 1.6, 1.6, 1.6]")
+    paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path), "b": str(b_file)}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_solve_rejects_bad_epsilon(tmp_path, capsys, value):
+    out = tmp_path / "result.json"
+    assert main(["solve", CANONICAL, "--grid", "64x64", "--epsilon", value,
+                 "--out", str(out), "--log", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --epsilon") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bracket_tol_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["solve", CANONICAL, "--bracket-tol", "1e-9", "--out", str(tmp_path / "r.json")])
+    assert exc_info.value.code == 2
+
+
+def test_stray_os_error_exits_2(tmp_path, capsys, monkeypatch):
+    from refractor import cli
+
+    def refuse(mesh, path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "write_obj", refuse)
+    b_file = tmp_path / "b.json"
+    b_file.write_text("[1.6, 1.6, 1.6, 1.6]")
+    code = main(["mesh", CANONICAL, "--b-file", str(b_file), "--resolution", "4x6",
+                 "--out", str(tmp_path / "surface.obj")])
+    assert code == 2
+    assert "Permission denied" in capsys.readouterr().err

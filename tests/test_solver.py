@@ -2,16 +2,26 @@
 
 The synthetic oracles have closed-form preimages, so the bisection accuracy,
 group counts, and conservation bounds can be checked exactly; the refractor
-binding is then exercised on small grids.
+binding, whose steps land at the oracle's closed-form crossing, is then
+exercised on small grids.
 """
 
 import numpy as np
 import pytest
 
 from refractor import solver as solver_module
-from refractor.geometry import build_quadrature
-from refractor.measure import MeasureOracle, refractor_measure, total_energy
+from refractor.geometry import CapDomain, build_quadrature
+from refractor.measure import (
+    MeasureOracle,
+    assign_cells,
+    node_energies,
+    refractor_measure,
+    total_energy,
+)
 from refractor.scene import (
+    IntensitySpec,
+    Scene,
+    TargetPoint,
     admissible_bounds,
     alpha_bound,
     initial_admissible_vector,
@@ -92,6 +102,45 @@ def test_adjust_bisects_to_preimage():
     assert abs(b_new[1] - 0.65) <= 1e-9       # analytic preimage of f_j
     assert 0.35 <= g_after <= 0.35 + 1e-6
     assert evals <= 40
+
+
+def test_adjust_lands_at_crossing_in_two_calls():
+    spec = separable_spec([1.0, 1.0], total=1.0)
+    b = np.array([0.5, 1.0])
+    proposed = []
+
+    def crossing(bb, j, f_j):
+        proposed.append((bb.copy(), j, f_j))
+        return 0.6499995                    # G_1 = 0.3500005, inside the band
+
+    b_new, g_before, g_after, evals, changed = adjust_coordinate(
+        spec.evaluate, 1, b, f_j=0.35, delta=1e-6, floor_j=0.0, crossing=crossing)
+    assert changed and evals == 2
+    assert b_new[1] == 0.6499995 and b_new[0] == 0.5
+    assert g_before == 0.0 and g_after == spec.evaluate(b_new)[1]
+    assert len(proposed) == 1 and np.array_equal(proposed[0][0], b)
+    assert proposed[0][1:] == (1, 0.35)
+
+
+@pytest.mark.parametrize("guess, checked", [
+    (None, False),        # no proposal
+    (-0.1, False),        # below the floor
+    (1.0, False),         # not below b_j
+    (0.9, True),          # G_1 = 0.1, short of f_j
+    (0.5, True),          # G_1 = 0.5, above f_j + delta
+    (0.65 + 1e-9, True),  # G_1 just short of f_j
+])
+def test_adjust_falls_back_to_bisection(guess, checked):
+    """A proposal outside [floor_j, b_j) costs nothing; one that misses the
+    band costs its check. Either way bisection then lands as without it."""
+    spec = separable_spec([1.0, 1.0], total=1.0)
+    b = np.array([0.5, 1.0])
+    plain = adjust_coordinate(spec.evaluate, 1, b, f_j=0.35, delta=1e-6, floor_j=0.0)
+    got = adjust_coordinate(spec.evaluate, 1, b, f_j=0.35, delta=1e-6, floor_j=0.0,
+                            crossing=lambda bb, j, f_j: guess)
+    assert np.array_equal(got[0], plain[0])
+    assert got[1:3] == plain[1:3] and got[4] is True
+    assert got[3] == plain[3] + checked
 
 
 def test_adjust_rejects_membership_violation():
@@ -301,7 +350,8 @@ def test_solve_refractor_canonical_coarse(canonical_scene, grid64):
 def test_solve_refractor_oracle_replay_bitwise(scene_name, eps_rel, canonical_scene,
                                                mirror_scene, monkeypatch):
     """Every answer the oracle gives in a whole solve, Lipschitz samples and
-    bisection probes alike, is bitwise the fresh measure at the same b."""
+    the checks of closed-form landings alike, is bitwise the fresh measure at
+    the same b."""
     scene = {"canonical": canonical_scene, "mirror": mirror_scene}[scene_name]
     grid = build_quadrature(scene.cap, 64, 64)
     f_values = scene.intensity.values(grid)
@@ -361,6 +411,74 @@ def test_solve_refractor_mirror_pair(mirror_scene):
     assert float(np.max(sol.residuals)) <= sol.epsilon
     e_max = float(np.max(f_values * grid.weights))
     assert abs(sol.measure.H[0] - sol.measure.H[1]) <= 2.0 * e_max
+
+
+def test_canonical_256_steps_land_in_closed_form(solution256):
+    """Every changed step of the default-tolerance 256x256 solve takes the
+    oracle's crossing: one call before and one to check, no bisection."""
+    trace = solution256.trace
+    changed = [s for s in trace.steps if s.changed]
+    assert changed
+    for s in changed:
+        f_j = trace.f[s.coordinate]
+        assert s.oracle_evals == 2, s
+        assert f_j <= s.g_after <= f_j + trace.delta, s
+    assert all(s.oracle_evals == 1 for s in trace.steps if not s.changed)
+    assert trace.total_evals == sum(s.oracle_evals for s in trace.steps) + 2
+
+
+def _first_step(scene, grid, f_j, delta, b):
+    """The closed-form step of coordinate 1 and a bisection down to one ulp,
+    each on a fresh oracle."""
+    e = node_energies(grid, scene.intensity.values(grid))
+    floor = float(admissible_bounds(scene)[0][1] + alpha_bound(scene))
+    oracle = MeasureOracle(scene, grid, e)
+    closed = adjust_coordinate(oracle, 1, b, f_j, delta, floor, crossing=oracle.crossing)
+    bisected = adjust_coordinate(MeasureOracle(scene, grid, e), 1, b, f_j, delta, floor,
+                                 bracket_tol=1e-15)
+    return closed, bisected
+
+
+def test_crossing_on_mirror_split(mirror_scene):
+    """The mirror pair's first step lowers b_2 from the flood until the cells
+    halve the cap. There the switch values of mirrored nodes straddle
+    b_1 = 1.6 within 1e-12, and the band starts at exactly half the total, so
+    the energy at the split meets f_2 only up to rounding. The step still
+    takes two calls and lands on the step that bisection finds, the first
+    past the split."""
+    grid = build_quadrature(mirror_scene.cap, 128, 128)
+    f_values = mirror_scene.intensity.values(grid)
+    g = target_weights(mirror_scene, grid, f_values)
+    delta = 1e-2 * total_energy(grid, f_values) / 2
+    b = initial_admissible_vector(mirror_scene)
+    closed, bisected = _first_step(mirror_scene, grid, float(g[1]), delta, b)
+    assert closed[3] == 2 and closed[4]
+    assert g[1] <= closed[2] <= g[1] + delta
+    assert closed[2] == bisected[2]
+    assert 1.6 - 1e-6 < closed[0][1] < 1.6
+
+
+def test_crossing_with_tied_switch_values():
+    """Two targets on the cap axis: every node of a ring has bitwise the same
+    t and radii, so whole rings share one switch value and enter cell 2
+    together. The landing takes the whole ring that crosses f_2, as bisection
+    does."""
+    cap = CapDomain(axis=np.array([0.0, 0.0, 1.0]), half_angle=np.deg2rad(10.0))
+    scene = Scene(kappa=0.3, cap=cap,
+                  targets=(TargetPoint(np.array([0.0, 0.0, 5.0]), 1.0),
+                           TargetPoint(np.array([0.0, 0.0, 4.0]), 1.0)),
+                  intensity=IntensitySpec(kind="constant", amplitude=1.0),
+                  tau=0.2, r0=0.5, b1=1.6)
+    grid = build_quadrature(cap, 24, 16)
+    total = total_energy(grid, np.ones(grid.n_nodes))
+    b = np.array([1.6, 1.5])            # cell 1 holds the whole cap
+    for frac in (0.37, 0.6):
+        closed, bisected = _first_step(scene, grid, frac * total, 0.1 * total, b)
+        assert closed[3] == 2 and closed[4]
+        assert closed[2] == bisected[2]
+        assert frac * total <= closed[2] <= (frac + 0.1) * total
+        labels = assign_cells(scene, closed[0], grid).labels
+        assert np.count_nonzero(labels == 1) % grid.n_phi == 0
 
 
 # --- trace serialization -----------------------------------------------------------
