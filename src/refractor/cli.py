@@ -47,9 +47,13 @@ def _parse_dims(s: str):
 
 def _check_args(args) -> None:
     """Refuse bad numeric flags and unwritable output paths before any work."""
-    eps = getattr(args, "epsilon", None)
-    if eps is not None and not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"--epsilon must be a positive finite number, got {eps!r}")
+    for flag in ("epsilon", "tol"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"--{flag} must be a positive finite number, got {value!r}")
+    groups = getattr(args, "max_groups", None)
+    if groups is not None and groups < 1:
+        raise ValueError(f"--max-groups must be at least 1, got {groups!r}")
     for flag in OUTPUT_FLAGS:
         path = getattr(args, flag, None)
         if not path:

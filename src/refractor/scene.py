@@ -247,7 +247,7 @@ def check_b_vector(scene: Scene, b) -> np.ndarray:
             f"b has shape {b.shape}, expected ({scene.n_targets},)"
         )
     lower, upper = admissible_bounds(scene)
-    bad = np.where((b <= lower) | (b > upper))[0]
+    bad = np.where(~((b > lower) & (b <= upper)))[0]  # NaN is inside no interval
     if bad.size:
         i = int(bad[0])
         raise InadmissibleBVector(

@@ -21,7 +21,7 @@ The first coordinate is never adjusted; it anchors the family.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,16 +63,14 @@ class MonotoneOracleSpec:
     limits: np.ndarray  # flooding values C_i = lim_{b_i -> alpha_i+} G_i(b)
 
 
+BRACKET_TOL = 1e-9   # bisection stops once its bracket is narrower than this
+
+
 @dataclass
 class SolverConfig:
     epsilon: Optional[float] = None      # absolute; None = 1e-3 * total at bind time
     delta: Optional[float] = None        # default epsilon / N
-    bracket_tol: float = 1e-9
     max_groups: int = 10000
-    guard: float = 0.0                   # floor offset above the hard lower limits
-    lipschitz_samples: int = 32
-    lipschitz_probe: Optional[float] = None
-    lipschitz_seed: int = 0
 
 
 @dataclass
@@ -114,7 +112,8 @@ class _CountingOracle:
         return np.asarray(self._fn(b), dtype=float)
 
 
-def adjust_coordinate(oracle, j, b, f_j, delta, floor_j, bracket_tol=1e-9, crossing=None):
+def adjust_coordinate(oracle, j, b, f_j, delta, floor_j, bracket_tol=BRACKET_TOL,
+                      crossing=None):
     """Lower coordinate j until G_j lands in [f_j, f_j + delta].
 
     No-op (and a single oracle call) when G_j already sits in the test band
@@ -199,9 +198,7 @@ def solve(spec: MonotoneOracleSpec, f, b_start, config: SolverConfig, floors=Non
     delta = config.delta if config.delta is not None else config.epsilon / n
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    floors = np.asarray(
-        floors if floors is not None else spec.lower + config.guard, dtype=float
-    )
+    floors = np.asarray(floors if floors is not None else spec.lower, dtype=float)
     if np.any(floors[1:] > b[1:]):
         raise ValueError("floors exceed the starting vector")
 
@@ -219,8 +216,7 @@ def solve(spec: MonotoneOracleSpec, f, b_start, config: SolverConfig, floors=Non
         changed_any = False
         for pos, j in enumerate(range(1, n), start=1):
             b_new, g_before, g_after, evals, changed = adjust_coordinate(
-                oracle, j, b, float(f[j]), delta, float(floors[j]), config.bracket_tol,
-                crossing,
+                oracle, j, b, float(f[j]), delta, float(floors[j]), crossing=crossing,
             )
             trace.steps.append(StepRecord(
                 group=group, position=pos, coordinate=j,
@@ -322,39 +318,25 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
         )
 
     lower, upper = admissible_bounds(scene)
-    alpha = alpha_bound(scene)
-    floors = lower + alpha
+    floors = lower + alpha_bound(scene)
     b_start = initial_admissible_vector(scene)
     oracle = MeasureOracle(scene, grid, energies)
     spec = MonotoneOracleSpec(
         evaluate=oracle, lower=lower, upper=upper, limits=np.full(n, total)
     )
-
-    m_hat = None
-    if config.lipschitz_samples > 0:
-        samp_lower = floors.copy()
-        samp_upper = b_start.copy()
-        samp_lower[0] = samp_upper[0] = scene.b1
-        span = float(np.min(samp_upper[1:] - samp_lower[1:])) if n > 1 else scene.r0
-        t_probe = config.lipschitz_probe if config.lipschitz_probe is not None else max(
-            0.01 * span, 1e-6
-        )
-        m_hat = estimate_lipschitz(
-            spec, samp_lower, samp_upper, t_probe,
-            n_samples=config.lipschitz_samples, seed=config.lipschitz_seed,
-            hard_lower=lower,
-        )
-
-    run_config = SolverConfig(
-        epsilon=epsilon, delta=delta, bracket_tol=config.bracket_tol,
-        max_groups=config.max_groups, guard=alpha,
-        lipschitz_samples=0,
-    )
-    b_final, trace = solve(spec, g, b_start, run_config, floors=floors,
+    b_final, trace = solve(spec, g, b_start, replace(config, delta=delta), floors=floors,
                            crossing=oracle.crossing)
-    trace.lipschitz_estimate = m_hat
-    if m_hat is not None and n > 1:
-        trace.group_bound = 2.0 * m_hat / delta * float(np.max(b_start[1:] - floors[1:]))
+    # the rate M^ is the steepest secant the descent itself met: every changed
+    # step raised G_j by more than delta, so 2 M^/delta times the room in b
+    # bounds the groups
+    if n > 1:
+        trace.lipschitz_estimate = max(
+            ((s.g_after - s.g_before) / (s.b_old - s.b_new) for s in trace.steps if s.changed),
+            default=0.0,
+        )
+        trace.group_bound = (
+            2.0 * trace.lipschitz_estimate / delta * float(np.max(b_start[1:] - floors[1:]))
+        )
 
     # the oracle's last answer, at b_final, is bitwise refractor_measure's there
     mv = MeasureVector(H=trace.g_final, total=float(trace.g_final.sum()))

@@ -9,7 +9,7 @@ import pytest
 from refractor.cli import main
 from refractor.geometry import build_quadrature
 from refractor.measure import total_energy
-from refractor.scene import load_scene
+from refractor.scene import admissible_bounds, alpha_bound, initial_admissible_vector, load_scene
 
 SCENES = pathlib.Path(__file__).resolve().parents[1] / "scenes"
 CANONICAL = str(SCENES / "canonical.json")
@@ -162,6 +162,29 @@ def test_solve_canonical_full_pipeline(tmp_path, capsys):
     assert sum(1 for line in text.splitlines() if line.startswith("f ")) == 90
 
 
+def test_rate_estimate_is_largest_logged_secant(tmp_path):
+    """lipschitz_estimate is the steepest (G_after - G_before) / (b_old - b_new)
+    over the changed rows of trace.csv, and group_bound is 2 M/delta times the
+    largest room between the start vector and the floors."""
+    code, out, log = solve_canonical_64(tmp_path, "rate")
+    assert code == 0
+    result = json.loads(out.read_text())
+    rows = log.read_text().splitlines()[1:]
+    secants = []
+    for row in rows:
+        _, _, _, b_old, b_new, g_before, g_after, _ = (float(v) for v in row.split(","))
+        if b_new != b_old:
+            secants.append((g_after - g_before) / (b_old - b_new))
+    assert secants
+    assert result["lipschitz_estimate"] == max(secants)
+
+    scene = load_scene(CANONICAL)
+    room = initial_admissible_vector(scene) - (admissible_bounds(scene)[0] + alpha_bound(scene))
+    expected = 2.0 * max(secants) / result["delta"] * float(np.max(room[1:]))
+    assert result["group_bound"] == expected
+    assert result["groups_used"] <= result["group_bound"]
+
+
 def test_trace_rejects_inadmissible_b(tmp_path, capsys):
     b_file = tmp_path / "b.json"
     b_file.write_text("[1.5, 1.6, 1.6, 1.6]")   # 1.5 sits on the open lower bound
@@ -237,6 +260,40 @@ def test_solve_rejects_bad_epsilon(tmp_path, capsys, value):
                  "--out", str(out), "--log", ""]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --epsilon") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_solve_rejects_bad_max_groups(tmp_path, capsys, value):
+    out = tmp_path / "result.json"
+    assert main(["solve", CANONICAL, "--grid", "64x64", "--epsilon", repr(canonical_epsilon()),
+                 "--max-groups", value, "--out", str(out), "--log", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --max-groups") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_trace_rejects_bad_tol(tmp_path, capsys, value):
+    b_file = tmp_path / "b.json"
+    b_file.write_text("[1.6, 1.6, 1.6, 1.6]")
+    out = tmp_path / "transport.json"
+    assert main(["trace", CANONICAL, "--b-file", str(b_file), "--grid", "16x16",
+                 "--tol", value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tol") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out_name", [("trace", "transport.json"), ("mesh", "surface.obj")])
+def test_nan_b_vector_exits_2(tmp_path, capsys, command, out_name):
+    b_file = tmp_path / "b.json"
+    b_file.write_text("[1.6, NaN, 2.0, 2.0]")
+    out = tmp_path / out_name
+    assert main([command, CANONICAL, "--b-file", str(b_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "b[2] = nan" in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -198,6 +198,10 @@ def test_check_b_vector_boundaries(canonical_scene):
     bad[2] = upper[2] + 1e-9
     with pytest.raises(InadmissibleBVector, match=r"b\[3\]"):
         check_b_vector(canonical_scene, bad)
+    bad = mid.copy()
+    bad[1] = np.nan                 # inside no interval
+    with pytest.raises(InadmissibleBVector, match=r"b\[2\] = nan"):
+        check_b_vector(canonical_scene, bad)
 
 
 def test_initial_vector_canonical(canonical_scene):

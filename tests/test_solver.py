@@ -6,6 +6,8 @@ binding, whose steps land at the oracle's closed-form crossing, is then
 exercised on small grids.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from refractor.scene import (
     target_weights,
 )
 from refractor.solver import (
+    BRACKET_TOL,
     FloorReached,
     MaxGroupsExceeded,
     MonotoneOracleSpec,
@@ -197,7 +200,7 @@ def test_separable_oracle_one_group():
 
     for j in range(1, 4):
         preimage = 1.0 - f[j] / C[j]
-        assert abs(b_final[j] - preimage) <= config.bracket_tol
+        assert abs(b_final[j] - preimage) <= BRACKET_TOL
     g = spec.evaluate(b_final)
     for j in range(1, 4):
         assert f[j] <= g[j] <= f[j] + 0.001
@@ -349,9 +352,9 @@ def test_solve_refractor_canonical_coarse(canonical_scene, grid64):
 @pytest.mark.parametrize("scene_name, eps_rel", [("canonical", 2e-2), ("mirror", 1e-2)])
 def test_solve_refractor_oracle_replay_bitwise(scene_name, eps_rel, canonical_scene,
                                                mirror_scene, monkeypatch):
-    """Every answer the oracle gives in a whole solve, Lipschitz samples and
-    the checks of closed-form landings alike, is bitwise the fresh measure at
-    the same b."""
+    """Every answer the oracle gives in a whole solve, the checks of
+    closed-form landings included, is bitwise the fresh measure at the same b,
+    and the descent is the oracle's only caller."""
     scene = {"canonical": canonical_scene, "mirror": mirror_scene}[scene_name]
     grid = build_quadrature(scene.cap, 64, 64)
     f_values = scene.intensity.values(grid)
@@ -367,9 +370,7 @@ def test_solve_refractor_oracle_replay_bitwise(scene_name, eps_rel, canonical_sc
     config = SolverConfig(epsilon=eps_rel * total_energy(grid, f_values))
     sol = solve_refractor(scene, grid, config)
     assert sol.trace.converged and sol.trace.groups_used >= 1
-    # each Lipschitz sample: one evaluation plus at most one probe per coordinate
-    n_lip = config.lipschitz_samples * (scene.n_targets + 1)
-    assert sol.trace.total_evals < len(calls) <= sol.trace.total_evals + n_lip
+    assert len(calls) == sol.trace.total_evals
     for b, H in calls:
         assert np.array_equal(H, refractor_measure(scene, b, grid, f_values).H), b
 
@@ -398,6 +399,12 @@ def test_solve_refractor_single_target(single_scene):
     assert sol.measure.H[0] == sol.measure.total
     assert abs(sol.measure.H[0] - sol.total) < 1e-12 * sol.total
     assert float(np.max(sol.residuals)) <= sol.epsilon
+    assert sol.trace.lipschitz_estimate is None    # no step, no rate
+    assert sol.trace.group_bound is None
+
+
+def test_solver_config_fields():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["epsilon", "delta", "max_groups"]
 
 
 def test_solve_refractor_mirror_pair(mirror_scene):
