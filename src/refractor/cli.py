@@ -1,8 +1,10 @@
 """Command line driver: validate scenes, solve for b, trace rays, export meshes.
 
 Exit codes: 0 success, 1 residuals above epsilon (solve), 2 scene, parameter
-or output path failure, 3 quadrature too coarse for the requested tolerance,
-4 group budget exhausted.
+or output path failure, including a target the flooding limit cannot reach
+(FloorReached) and an oval or normal that cannot be evaluated at some node
+(NonPositiveDiscriminant, DegenerateNormal), 3 quadrature too coarse for the
+requested tolerance, 4 group budget exhausted.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import build_quadrature
-from .measure import assign_cells, export_mesh, write_label_csv, write_obj
+from .measure import CellAssignment, export_mesh, write_label_csv, write_obj
+from .oval import DegenerateNormal, NonPositiveDiscriminant
 from .raytrace import TotalInternalReflection, validate_transport, write_ray_csv, write_report_json
 from .scene import SceneValidationError, load_scene, validation_report
 from .solver import (
+    FloorReached,
     MaxGroupsExceeded,
     QuantizationTooCoarse,
     SolverConfig,
@@ -66,13 +70,18 @@ def _check_args(args) -> None:
 
 
 def _load_b(args, n_targets: int) -> np.ndarray:
+    """b from --from-result (its b_final) or --b-file (a JSON list of numbers)."""
+    path = args.from_result or args.b_file
+    with open(path) as fh:
+        data = json.load(fh)
     if args.from_result:
-        with open(args.from_result) as fh:
-            data = json.load(fh)
-        b = np.asarray(data["b_final"], dtype=float)
-    else:
-        with open(args.b_file) as fh:
-            b = np.asarray(json.load(fh), dtype=float)
+        if not isinstance(data, dict) or "b_final" not in data:
+            raise SceneValidationError(f"{path}: no b_final entry")
+        data = data["b_final"]
+    if not (isinstance(data, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data)):
+        raise SceneValidationError(f"{path}: b must be a JSON list of numbers")
+    b = np.asarray(data, dtype=float)
     if b.shape != (n_targets,):
         raise SceneValidationError(
             f"b vector has {b.size} entries for {n_targets} targets"
@@ -140,8 +149,8 @@ def run_solve(args) -> int:
     if args.log:
         write_convergence_csv(trace, args.log)
     if args.labels:
-        assignment = assign_cells(scene, sol.b, grid)
-        write_label_csv(args.labels, grid, scene.intensity.values(grid), assignment)
+        write_label_csv(args.labels, grid, scene.intensity.values(grid),
+                        CellAssignment(labels=sol.labels))
 
     ok = bool(np.all(sol.residuals <= sol.epsilon))
     print(f"groups = {trace.groups_used}, oracle evals = {trace.total_evals}, wall = {wall:.2f}s")
@@ -231,8 +240,8 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.fn(args)
-    except (SceneValidationError, TotalInternalReflection, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (SceneValidationError, TotalInternalReflection, OSError, json.JSONDecodeError,
+            ValueError, FloorReached, NonPositiveDiscriminant, DegenerateNormal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except QuantizationTooCoarse as exc:

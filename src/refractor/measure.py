@@ -133,6 +133,12 @@ class MeasureOracle:
     def __call__(self, b) -> np.ndarray:
         return self._measure(b).copy()
 
+    def labels(self, b) -> np.ndarray:
+        """The cell of every node at b, bitwise argmin as assign_cells gives it;
+        free when b is the last call's."""
+        self._measure(b)
+        return self._labels.copy()
+
     def crossing(self, b, j: int, f_j: float):
         """The b_j below b[j] where H_j, as b_j falls, first reaches f_j.
 
@@ -289,38 +295,76 @@ def export_mesh(scene: Scene, b, n_theta: int, n_phi: int) -> SurfaceMesh:
     return SurfaceMesh(vertices=vertices, normals=normals, faces=faces, labels=labels)
 
 
-def write_rows(fh, template: str, columns) -> None:
-    """Write template % row for the rows of equal-length 1-D array columns.
+def distinct_strings(values, fmt: str):
+    """Format each distinct value of a 1-D column once: a list table and an
+    index array with table[index[k]] == fmt % values[k] for every row k.
 
-    Values go through tolist(), so floats print as Python's repr (%r) and
-    integers as Python ints; ROWS_PER_WRITE rows are formatted at a time.
+    For columns that are functions of the grid, whose few distinct values
+    repeat over many rows. Floats are told apart by bit pattern, so -0.0 and
+    0.0 keep their own strings, and every value is formatted as the Python
+    float or int that tolist() would give.
     """
-    n = len(columns[0])
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+        keys, index = np.unique(bits, return_inverse=True)
+        keys = keys.view(np.float64)
+    else:
+        keys, index = np.unique(values, return_inverse=True)
+    return [fmt % v for v in keys.tolist()], index
+
+
+def write_rows(fh, template: str, columns) -> None:
+    """Write template % row for the rows of equal-length columns.
+
+    A column is either a 1-D array, whose values go through tolist() so that
+    floats print as Python's repr (%r) and integers as Python ints, or a
+    (table, index) pair of a list of preformatted strings and an index array,
+    whose row k prints table[index[k]] (%s). ROWS_PER_WRITE rows are
+    formatted at a time. The tables stay Python lists: gathering through
+    NumPy object arrays made the peak memory of a long run creep up with
+    every design.
+    """
+    def block(column, lo):
+        if isinstance(column, tuple):
+            table, index = column
+            return map(table.__getitem__, index[lo:lo + ROWS_PER_WRITE].tolist())
+        return np.asarray(column[lo:lo + ROWS_PER_WRITE]).tolist()
+
+    first = columns[0]
+    n = len(first[1] if isinstance(first, tuple) else first)
     for lo in range(0, n, ROWS_PER_WRITE):
-        rows = zip(*(np.asarray(c[lo:lo + ROWS_PER_WRITE]).tolist() for c in columns))
+        rows = zip(*(block(c, lo) for c in columns))
         fh.write("".join(map(template.__mod__, rows)))
 
 
 def write_obj(mesh: SurfaceMesh, path) -> None:
-    """Write the mesh as Wavefront OBJ (v/vn/f records, 1-based indices)."""
-    f = np.asarray(mesh.faces) + 1
+    """Write the mesh as Wavefront OBJ (v/vn/f records, 1-based indices).
+
+    Each vertex's face corner "i//i" is formatted once and shared by the
+    faces around it.
+    """
+    corner = ["%d//%d" % (i, i) for i in range(1, len(mesh.vertices) + 1)]
+    faces = np.asarray(mesh.faces)
     with open(path, "w") as fh:
         fh.write("# poly-oval refractor surface\n")
         write_rows(fh, "v %r %r %r\n", mesh.vertices.T)
         write_rows(fh, "vn %r %r %r\n", mesh.normals.T)
-        write_rows(fh, "f %d//%d %d//%d %d//%d\n",
-                   (f[:, 0], f[:, 0], f[:, 1], f[:, 1], f[:, 2], f[:, 2]))
+        write_rows(fh, "f %s %s %s\n", [(corner, faces[:, k]) for k in range(3)])
 
 
 def write_label_csv(path, grid: QuadratureGrid, f_values, assignment: CellAssignment) -> None:
     """Per-node dump: node_index, theta, phi, weight, f, label (targets 1-based).
 
-    CRLF line ends and repr floats, as csv.writer writes them.
+    CRLF line ends and repr floats, as csv.writer writes them. Every column
+    but node_index is a function of the grid, so each of its distinct values
+    is formatted once.
     """
     f_values = np.asarray(f_values, dtype=float)
     with open(path, "w", newline="") as fh:
         fh.write("node_index,theta,phi,weight,f,label\r\n")
-        write_rows(fh, "%d,%r,%r,%r,%r,%d\r\n", (
-            np.arange(grid.n_nodes), grid.thetas, grid.phis, grid.weights,
-            f_values, np.asarray(assignment.labels) + 1,
+        write_rows(fh, "%d,%s,%s,%s,%s,%s\r\n", (
+            np.arange(grid.n_nodes),
+            *(distinct_strings(c, "%r") for c in (grid.thetas, grid.phis, grid.weights, f_values)),
+            distinct_strings(np.asarray(assignment.labels) + 1, "%d"),
         ))

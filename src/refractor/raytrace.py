@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import QuadratureGrid
-from .measure import node_energies, radii_matrix, write_rows
+from .measure import distinct_strings, node_energies, radii_matrix, write_rows
 from .oval import normals_for_directions
 from .parallel import map_chunks
 from .scene import Scene, check_b_vector
@@ -222,13 +222,17 @@ def write_report_json(report: TransportReport, path) -> None:
 def write_ray_csv(report: TransportReport, grid: QuadratureGrid, path) -> None:
     """Per-ray dump: node_index, theta, phi, label (1-based), rel_miss, within, crease.
 
-    CRLF line ends and repr floats, as csv.writer writes them.
+    CRLF line ends and repr floats, as csv.writer writes them. The distinct
+    values of theta, phi, label, within and crease are formatted once each;
+    node_index and rel_miss are formatted per ray.
     """
     with open(path, "w", newline="") as fh:
         fh.write("node_index,theta,phi,label,rel_miss,within,crease\r\n")
-        write_rows(fh, "%d,%r,%r,%d,%r,%d,%d\r\n", (
-            np.arange(grid.n_nodes), grid.thetas, grid.phis,
-            np.asarray(report.labels) + 1, np.asarray(report.rel_miss, dtype=float),
-            np.asarray(report.within, dtype=bool).astype(int),
-            np.asarray(report.crease, dtype=bool).astype(int),
+        write_rows(fh, "%d,%s,%s,%s,%r,%s,%s\r\n", (
+            np.arange(grid.n_nodes),
+            distinct_strings(grid.thetas, "%r"), distinct_strings(grid.phis, "%r"),
+            distinct_strings(np.asarray(report.labels) + 1, "%d"),
+            np.asarray(report.rel_miss, dtype=float),
+            distinct_strings(np.asarray(report.within, dtype=bool), "%d"),
+            distinct_strings(np.asarray(report.crease, dtype=bool), "%d"),
         ))

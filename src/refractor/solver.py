@@ -277,6 +277,7 @@ def estimate_lipschitz(spec_or_fn, lower, upper, t_probe, n_samples=32, seed=0, 
 class RefractorSolution:
     b: np.ndarray
     measure: object
+    labels: np.ndarray  # (n,) 0-based cell of each node at b
     g: np.ndarray
     residuals: np.ndarray
     epsilon: float
@@ -340,11 +341,12 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
 
     # the oracle's last answer, at b_final, is bitwise refractor_measure's there
     mv = MeasureVector(H=trace.g_final, total=float(trace.g_final.sum()))
+    labels = oracle.labels(b_final)
     residuals = np.abs(mv.H - g)
     margins = validate_structural(scene)
     supported = bool(all(m > 0.0 for (_, _, m) in margins)) if margins else True
     return RefractorSolution(
-        b=b_final, measure=mv, g=g, residuals=residuals,
+        b=b_final, measure=mv, labels=labels, g=g, residuals=residuals,
         epsilon=epsilon, delta=delta, total=total, trace=trace,
         bound_supported=supported,
     )

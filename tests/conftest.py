@@ -45,3 +45,25 @@ def solution256(canonical_scene, grid256):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)
+
+
+@pytest.fixture(scope="session")
+def edge_values():
+    """Float64 values a text writer must keep apart byte for byte: both zeros,
+    both infinities, NaNs of either sign and with a payload, subnormals, and
+    ordinary values with long reprs."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123],
+                    dtype=np.uint64).view(np.float64)
+    plain = [0.0, -0.0, np.inf, -np.inf, 5e-324, 1e-310, 0.1, 1.0 / 3.0, -2.5e-17, 1e300]
+    return np.concatenate((plain, nans))
+
+
+@pytest.fixture(scope="session")
+def edge_column(edge_values):
+    """make(rng, n): n >= 2 draws from edge_values at scattered positions, with
+    -0.0 right after 0.0."""
+    def make(rng, n):
+        col = edge_values[rng.integers(0, len(edge_values), n)]
+        col[:2] = (0.0, -0.0)
+        return col
+    return make

@@ -9,7 +9,9 @@ import pytest
 from refractor.cli import main
 from refractor.geometry import build_quadrature
 from refractor.measure import total_energy
+from refractor.oval import DegenerateNormal, NonPositiveDiscriminant
 from refractor.scene import admissible_bounds, alpha_bound, initial_admissible_vector, load_scene
+from refractor.solver import FloorReached
 
 SCENES = pathlib.Path(__file__).resolve().parents[1] / "scenes"
 CANONICAL = str(SCENES / "canonical.json")
@@ -316,3 +318,45 @@ def test_stray_os_error_exits_2(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "surface.obj")])
     assert code == 2
     assert "Permission denied" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, out_name", [("trace", "transport.json"), ("mesh", "surface.obj")])
+@pytest.mark.parametrize("flag, content", [
+    ("--b-file", '{"x": 1}'),
+    ("--b-file", "null"),
+    ("--b-file", '[1.6, "1.6", 1.6, 1.6]'),
+    ("--b-file", "[1.6, true, 1.6, 1.6]"),
+    ("--from-result", "{}"),
+    ("--from-result", "[1.6, 1.6, 1.6, 1.6]"),
+    ("--from-result", '{"b_final": {"x": 1}}'),
+])
+def test_malformed_b_source_exits_2(tmp_path, capsys, command, out_name, flag, content):
+    source = tmp_path / "b.json"
+    source.write_text(content)
+    out = tmp_path / out_name
+    assert main([command, CANONICAL, flag, str(source), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, patched", [
+    ("solve", "solve_refractor"), ("trace", "validate_transport"), ("mesh", "export_mesh"),
+])
+@pytest.mark.parametrize("exc_type", [FloorReached, NonPositiveDiscriminant, DegenerateNormal])
+def test_solver_and_oval_failures_exit_2(tmp_path, capsys, monkeypatch, command, patched,
+                                         exc_type):
+    from refractor import cli
+
+    def fail(*args, **kwargs):
+        raise exc_type("cannot go on")
+
+    monkeypatch.setattr(cli, patched, fail)
+    b_file = tmp_path / "b.json"
+    b_file.write_text("[1.6, 1.6, 1.6, 1.6]")
+    source = [] if command == "solve" else ["--b-file", str(b_file)]
+    size = ["--resolution", "4x6"] if command == "mesh" else ["--grid", "16x16"]
+    assert main([command, CANONICAL, *source, *size,
+                 "--out", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err == "error: cannot go on\n"
+    assert not (tmp_path / "out.txt").exists()

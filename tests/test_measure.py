@@ -9,7 +9,8 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refractor.geometry import CapDomain, build_quadrature, dir_from_spherical
+from refractor import measure as measure_module
+from refractor.geometry import CapDomain, QuadratureGrid, build_quadrature, dir_from_spherical
 from refractor.measure import (
     ROWS_PER_WRITE,
     CellAssignment,
@@ -442,3 +443,69 @@ def test_write_label_csv_bytes_match_reference(canonical_scene, tmp_path):
     write_label_csv(tmp_path / "got.csv", grid, f, assignment)
     _reference_label_csv(tmp_path / "ref.csv", grid, f, assignment)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# --- writers on hand-built columns: edge values and block boundaries ---------------
+
+def _hand_grid(thetas, phis, weights):
+    n = len(thetas)
+    return QuadratureGrid(cap=CapDomain(axis=np.array([0.0, 0.0, 1.0]), half_angle=0.5),
+                          n_theta=1, n_phi=n, nodes=np.zeros((n, 3)),
+                          weights=weights, thetas=thetas, phis=phis)
+
+
+def _assert_label_csv_matches(tmp_path, grid, f, labels):
+    assignment = CellAssignment(labels=labels)
+    write_label_csv(tmp_path / "got.csv", grid, f, assignment)
+    _reference_label_csv(tmp_path / "ref.csv", grid, f, assignment)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _assert_obj_matches(tmp_path, mesh):
+    write_obj(mesh, tmp_path / "got.obj")
+    _reference_obj(mesh, tmp_path / "ref.obj")
+    assert (tmp_path / "got.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+
+
+@pytest.mark.parametrize("n", [ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1])
+def test_write_label_csv_edge_values(n, edge_column, tmp_path):
+    rng = np.random.default_rng(n)
+    weights = np.full(n, 1e-310)    # a single distinct value
+    grid = _hand_grid(edge_column(rng, n), edge_column(rng, n), weights)
+    _assert_label_csv_matches(tmp_path, grid, edge_column(rng, n), rng.integers(0, 3, n))
+
+
+@pytest.mark.parametrize("n", [ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1])
+def test_write_obj_edge_values(n, edge_column, tmp_path):
+    rng = np.random.default_rng(n)
+    vertices = np.stack([edge_column(rng, n) for _ in range(3)], axis=1)
+    normals = np.stack([edge_column(rng, n), np.full(n, -0.0), edge_column(rng, n)], axis=1)
+    faces = rng.integers(0, n, (n, 3))
+    faces[0] = n - 1
+    _assert_obj_matches(tmp_path, SurfaceMesh(vertices=vertices, normals=normals, faces=faces,
+                                              labels=np.zeros(n, dtype=int)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_writers_match_reference_on_drawn_columns(data, edge_values, tmp_path_factory):
+    """Columns drawn from a small pool, written in blocks of a few rows."""
+    n = data.draw(st.integers(1, 40))
+
+    def column(pool):
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        return np.asarray(pool)[picks]
+
+    # both zeros and up to three more of the edge values
+    pool = edge_values[[0, 1] + data.draw(st.lists(st.integers(2, len(edge_values) - 1),
+                                                   max_size=3))]
+    out = tmp_path_factory.mktemp("writers")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure_module, "ROWS_PER_WRITE", data.draw(st.integers(1, 8)))
+        grid = _hand_grid(column(pool), column(pool), column(pool))
+        _assert_label_csv_matches(out, grid, column(pool), column(range(3)))
+        mesh = SurfaceMesh(vertices=np.stack([column(pool) for _ in range(3)], axis=1),
+                           normals=np.stack([column(pool) for _ in range(3)], axis=1),
+                           faces=np.stack([column(range(n)) for _ in range(3)], axis=1),
+                           labels=np.zeros(n, dtype=int))
+        _assert_obj_matches(out, mesh)

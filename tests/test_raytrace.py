@@ -5,12 +5,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from refractor.geometry import build_quadrature, normalize
+from refractor import measure as measure_module
+from refractor.geometry import CapDomain, QuadratureGrid, build_quadrature, normalize
 from refractor.measure import ROWS_PER_WRITE, total_energy
 from refractor.oval import OvalParams, oval_extrema
 from refractor.raytrace import (
     TotalInternalReflection,
+    TransportReport,
     _refract_batch,
     crease_mask,
     trace_ray,
@@ -201,3 +205,54 @@ def test_write_ray_csv_bytes_match_reference(canonical_scene, tmp_path):
     write_ray_csv(rep, grid, tmp_path / "got.csv")
     _reference_ray_csv(rep, grid, tmp_path / "ref.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _hand_report(thetas, phis, labels, rel_miss, within, crease):
+    """A grid and a transport report holding exactly the given per-ray columns."""
+    n = len(thetas)
+    grid = QuadratureGrid(cap=CapDomain(axis=np.array([0.0, 0.0, 1.0]), half_angle=0.5),
+                          n_theta=1, n_phi=n, nodes=np.zeros((n, 3)), weights=np.ones(n),
+                          thetas=thetas, phis=phis)
+    report = TransportReport(
+        n_rays=n, n_crease=int(np.sum(crease)), tol_rel=1e-6, fraction_within=0.0,
+        max_rel_miss=0.0, per_target=[], total_assigned=0.0, total_ray=0.0, all_match=True,
+        labels=labels, miss=rel_miss, rel_miss=rel_miss, within=within, crease=crease,
+    )
+    return grid, report
+
+
+def _assert_ray_csv_matches(tmp_path, grid, report):
+    write_ray_csv(report, grid, tmp_path / "got.csv")
+    _reference_ray_csv(report, grid, tmp_path / "ref.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1])
+def test_write_ray_csv_edge_values(n, edge_column, tmp_path):
+    rng = np.random.default_rng(n)
+    grid, report = _hand_report(
+        edge_column(rng, n), np.full(n, 5e-324), rng.integers(0, 4, n), edge_column(rng, n),
+        rng.random(n) < 0.5, np.zeros(n, dtype=bool),   # phi and crease: one value each
+    )
+    _assert_ray_csv_matches(tmp_path, grid, report)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_write_ray_csv_on_drawn_columns(data, edge_values, tmp_path_factory):
+    """Columns drawn from a small pool, written in blocks of a few rows."""
+    n = data.draw(st.integers(1, 40))
+
+    def column(pool):
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        return np.asarray(pool)[picks]
+
+    # both zeros and up to three more of the edge values
+    pool = edge_values[[0, 1] + data.draw(st.lists(st.integers(2, len(edge_values) - 1),
+                                                   max_size=3))]
+    out = tmp_path_factory.mktemp("rays")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure_module, "ROWS_PER_WRITE", data.draw(st.integers(1, 8)))
+        grid, report = _hand_report(column(pool), column(pool), column(range(4)), column(pool),
+                                    column([False, True]), column([False, True]))
+        _assert_ray_csv_matches(out, grid, report)

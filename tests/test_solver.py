@@ -401,6 +401,7 @@ def test_solve_refractor_single_target(single_scene):
     assert float(np.max(sol.residuals)) <= sol.epsilon
     assert sol.trace.lipschitz_estimate is None    # no step, no rate
     assert sol.trace.group_bound is None
+    assert np.array_equal(sol.labels, np.zeros(grid.n_nodes, dtype=int))
 
 
 def test_solver_config_fields():
@@ -418,6 +419,19 @@ def test_solve_refractor_mirror_pair(mirror_scene):
     assert float(np.max(sol.residuals)) <= sol.epsilon
     e_max = float(np.max(f_values * grid.weights))
     assert abs(sol.measure.H[0] - sol.measure.H[1]) <= 2.0 * e_max
+
+
+def test_solution_labels_are_argmin_at_b_final(canonical_scene, grid256, solution256,
+                                               mirror_scene):
+    """The labels the solve ends on are those assign_cells gives at b_final."""
+    mirror_grid = build_quadrature(mirror_scene.cap, 128, 128)
+    mirror_sol = solve_refractor(mirror_scene, mirror_grid)
+    for scene, grid, sol in ((canonical_scene, grid256, solution256),
+                             (mirror_scene, mirror_grid, mirror_sol)):
+        labels = assign_cells(scene, sol.b, grid).labels
+        assert len(np.unique(labels)) == scene.n_targets
+        assert sol.labels.dtype == labels.dtype
+        assert np.array_equal(sol.labels, labels)
 
 
 def test_canonical_256_steps_land_in_closed_form(solution256):
