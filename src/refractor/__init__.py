@@ -8,7 +8,6 @@ requested tolerance, and verify the design by forward ray tracing.
 
 from .geometry import CapDomain, QuadratureGrid, build_quadrature, cap_area, cap_min_dot
 from .measure import (
-    CellAssignment,
     MeasureVector,
     assign_cells,
     export_mesh,

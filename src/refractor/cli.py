@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import build_quadrature
-from .measure import CellAssignment, export_mesh, write_label_csv, write_obj
+from .measure import export_mesh, write_label_csv, write_obj
 from .oval import DegenerateNormal, NonPositiveDiscriminant
 from .raytrace import TotalInternalReflection, validate_transport, write_ray_csv, write_report_json
 from .scene import SceneValidationError, load_scene, validation_report
@@ -149,8 +149,7 @@ def run_solve(args) -> int:
     if args.log:
         write_convergence_csv(trace, args.log)
     if args.labels:
-        write_label_csv(args.labels, grid, scene.intensity.values(grid),
-                        CellAssignment(labels=sol.labels))
+        write_label_csv(args.labels, grid, scene.intensity.values(grid), sol.labels)
 
     ok = bool(np.all(sol.residuals <= sol.epsilon))
     print(f"groups = {trace.groups_used}, oracle evals = {trace.total_evals}, wall = {wall:.2f}s")

@@ -31,11 +31,6 @@ ROWS_PER_WRITE = 16384   # CSV/OBJ rows formatted per write: bounded memory, few
 
 
 @dataclass(frozen=True, eq=False)
-class CellAssignment:
-    labels: np.ndarray  # (n,) int, 0-based target index per node
-
-
-@dataclass(frozen=True, eq=False)
 class MeasureVector:
     H: np.ndarray   # (N,) per-target energy
     total: float    # float sum of H
@@ -71,9 +66,9 @@ def rho(scene: Scene, b, x):
     return float(radii[label]), label
 
 
-def assign_cells(scene: Scene, b, grid: QuadratureGrid) -> CellAssignment:
-    """Label every grid node with the target whose oval sits lowest there."""
-    return CellAssignment(labels=np.argmin(radii_matrix(scene, b, grid.nodes), axis=1))
+def assign_cells(scene: Scene, b, grid: QuadratureGrid) -> np.ndarray:
+    """Label every grid node (0-based) with the target whose oval sits lowest there."""
+    return np.argmin(radii_matrix(scene, b, grid.nodes), axis=1)
 
 
 def node_energies(grid: QuadratureGrid, f_values: np.ndarray) -> np.ndarray:
@@ -91,9 +86,8 @@ def refractor_measure(scene: Scene, b, grid: QuadratureGrid, f_values) -> Measur
     Each node contributes to exactly one cell, so the H_i form an exact
     partition of the per-node energies; total is their float sum.
     """
-    assignment = assign_cells(scene, b, grid)
     e = node_energies(grid, np.asarray(f_values, dtype=float))
-    H = np.bincount(assignment.labels, weights=e, minlength=scene.n_targets)
+    H = np.bincount(assign_cells(scene, b, grid), weights=e, minlength=scene.n_targets)
     return MeasureVector(H=H, total=float(H.sum()))
 
 
@@ -353,7 +347,7 @@ def write_obj(mesh: SurfaceMesh, path) -> None:
         write_rows(fh, "f %s %s %s\n", [(corner, faces[:, k]) for k in range(3)])
 
 
-def write_label_csv(path, grid: QuadratureGrid, f_values, assignment: CellAssignment) -> None:
+def write_label_csv(path, grid: QuadratureGrid, f_values, labels) -> None:
     """Per-node dump: node_index, theta, phi, weight, f, label (targets 1-based).
 
     CRLF line ends and repr floats, as csv.writer writes them. Every column
@@ -366,5 +360,5 @@ def write_label_csv(path, grid: QuadratureGrid, f_values, assignment: CellAssign
         write_rows(fh, "%d,%s,%s,%s,%s,%s\r\n", (
             np.arange(grid.n_nodes),
             *(distinct_strings(c, "%r") for c in (grid.thetas, grid.phis, grid.weights, f_values)),
-            distinct_strings(np.asarray(assignment.labels) + 1, "%d"),
+            distinct_strings(np.asarray(labels) + 1, "%d"),
         ))

@@ -1,30 +1,20 @@
-"""Deterministic chunked execution of per-node work.
+"""Fixed-size chunks of per-node work, run in order on one thread.
 
-REFRACTOR_THREADS caps the worker count (0 or unset = auto). Work is split
-into fixed-size chunks whose boundaries do not depend on the worker count,
-and per-chunk results are reduced in chunk order, so outputs are bitwise
-identical whatever the parallelism.
+Work over n nodes is split at fixed boundaries and the per-chunk results are
+returned in chunk order, so memory per chunk stays bounded and outputs are
+bitwise identical from run to run.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 CHUNK = 65536
 
 
 def worker_count() -> int:
-    raw = os.environ.get("REFRACTOR_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"REFRACTOR_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("REFRACTOR_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
+    """Always 1: chunks run in order on the calling thread. Kept only because
+    benchmark/tracing.py reports it, as it still wraps
+    solver.estimate_lipschitz and copies MonotoneOracleSpec.limits."""
+    return 1
 
 
 def chunk_slices(n: int):
@@ -33,9 +23,4 @@ def chunk_slices(n: int):
 
 def map_chunks(fn, n: int) -> list:
     """Apply fn(slice) to fixed chunks of range(n); results in chunk order."""
-    slices = chunk_slices(n)
-    workers = worker_count()
-    if workers <= 1 or len(slices) <= 1:
-        return [fn(s) for s in slices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, slices))
+    return [fn(s) for s in chunk_slices(n)]

@@ -128,17 +128,14 @@ def validate_h1(scene: Scene) -> float:
     direction satisfies x . P_i >= (kappa + tau)|P_i|.
     """
     ts = tau_star(scene.cap, scene.points, scene.kappa)
+    if ts > 0.0 and scene.tau <= ts:
+        return ts
+    worst = int(np.argmin([cap_min_dot(scene.cap, normalize(p)) for p in scene.points])) + 1
     if ts <= 0.0:
-        worst = int(np.argmin([cap_min_dot(scene.cap, normalize(p)) for p in scene.points]))
-        raise H1Violated(
-            f"target {worst + 1} is too oblique: tau_star = {ts:.6f} <= 0"
-        )
-    if scene.tau > ts:
-        worst = int(np.argmin([cap_min_dot(scene.cap, normalize(p)) for p in scene.points]))
-        raise H1Violated(
-            f"tau = {scene.tau:.6f} exceeds tau_star = {ts:.6f} (binding target {worst + 1})"
-        )
-    return ts
+        raise H1Violated(f"target {worst} is too oblique: tau_star = {ts:.6f} <= 0")
+    raise H1Violated(
+        f"tau = {scene.tau:.6f} exceeds tau_star = {ts:.6f} (binding target {worst})"
+    )
 
 
 def pairwise_line_distances(points: np.ndarray) -> np.ndarray:
@@ -209,18 +206,20 @@ def validate_structural(scene: Scene) -> list:
     return margins
 
 
+def structurally_supported(margins) -> bool:
+    """True when every pair-plane margin of validate_structural is positive."""
+    return all(m > 0.0 for (_, _, m) in margins)
+
+
 def default_b1(kappa: float, p1_norm: float, r0: float) -> float:
     """Default first-oval parameter: 90% of the way up the admissible interval."""
     return kappa * p1_norm + 0.9 * r0 * (1.0 - kappa) ** 2 / (1.0 + kappa)
 
 
-def b1_upper(scene_or_kappa, p1_norm: float = None, r0: float = None) -> float:
-    if isinstance(scene_or_kappa, Scene):
-        s = scene_or_kappa
-        kappa, p1_norm, r0 = s.kappa, float(s.p_norms[0]), s.r0
-    else:
-        kappa = scene_or_kappa
-    return kappa * p1_norm + r0 * (1.0 - kappa) ** 2 / (1.0 + kappa)
+def b1_upper(scene: Scene) -> float:
+    """Upper end of b1's admissible interval: kappa|P_1| + r0 (1-kappa)^2/(1+kappa)."""
+    kappa = scene.kappa
+    return kappa * float(scene.p_norms[0]) + scene.r0 * (1.0 - kappa) ** 2 / (1.0 + kappa)
 
 
 def alpha_bound(scene: Scene) -> float:
@@ -336,32 +335,50 @@ def validate_scene(scene: Scene) -> float:
 
 # --- JSON loading ------------------------------------------------------------
 
+def _finite(value, name: str):
+    """A JSON number as a float, or a list of them as a float array; NaN and
+    infinities are refused."""
+    out = np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
+    if not np.all(np.isfinite(out)):
+        raise SceneValidationError(f"{name} must be finite, got {value!r}")
+    return out
+
+
 def scene_from_dict(d: dict) -> Scene:
     """Build and validate a Scene from a plain dict (see README for the schema).
 
-    tau, r0 and b1 may be omitted; defaults are 0.9*tau_star, 90% of the r0
-    bound (capped by pairwise line clearance), and default_b1 respectively.
+    Every number must be finite and normalize_weights a boolean. tau, r0 and
+    b1 may be omitted; defaults are 0.9*tau_star, 90% of the r0 bound (capped
+    by pairwise line clearance), and default_b1 respectively.
     """
     try:
-        kappa = float(d["kappa"])
+        kappa = _finite(d["kappa"], "kappa")
         cap_d = d["cap"]
         cap = CapDomain(
-            axis=normalize(cap_d["axis"]),
-            half_angle=float(np.deg2rad(cap_d["half_angle_deg"])),
+            axis=normalize(_finite(cap_d["axis"], "cap axis")),
+            half_angle=float(np.deg2rad(_finite(cap_d["half_angle_deg"], "cap half_angle_deg"))),
         )
         intens_d = d.get("intensity", {"kind": "constant", "amplitude": 1.0})
         width_deg = intens_d.get("width_deg")
         intensity = IntensitySpec(
             kind=intens_d["kind"],
-            amplitude=float(intens_d["amplitude"]),
-            width=float(np.deg2rad(width_deg)) if width_deg is not None else None,
+            amplitude=_finite(intens_d["amplitude"], "intensity amplitude"),
+            width=(float(np.deg2rad(_finite(width_deg, "intensity width_deg")))
+                   if width_deg is not None else None),
         )
         targets = tuple(
-            TargetPoint(point=np.asarray(t["point"], dtype=float), weight=float(t["weight"]))
-            for t in d["targets"]
+            TargetPoint(point=_finite(t["point"], f"target {k} point"),
+                        weight=_finite(t["weight"], f"target {k} weight"))
+            for k, t in enumerate(d["targets"], 1)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        tau, r0, b1 = (_finite(d[key], key) if key in d else None for key in ("tau", "r0", "b1"))
+        normalize_weights = d.get("normalize_weights", True)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SceneValidationError(f"malformed scene: {exc}") from exc
+    if not isinstance(normalize_weights, bool):
+        raise SceneValidationError(
+            f"normalize_weights must be true or false, got {normalize_weights!r}"
+        )
 
     if len(targets) < 1:
         raise SceneValidationError("need at least one target")
@@ -372,23 +389,22 @@ def scene_from_dict(d: dict) -> Scene:
     ts = tau_star(cap, pts, kappa)
     if ts <= 0.0:
         raise H1Violated(f"tau_star = {ts:.6f} <= 0; targets too oblique for this cap")
-    tau = float(d["tau"]) if "tau" in d else 0.9 * min(ts, 1.0 - kappa)
+    if tau is None:
+        tau = 0.9 * min(ts, 1.0 - kappa)
 
-    if "r0" in d:
-        r0 = float(d["r0"])
-    else:
+    if r0 is None:
         bound = tau / (1.0 + kappa) * float(np.min(np.linalg.norm(pts, axis=1)))
         if len(targets) >= 2:
             clearance = float(np.min(pairwise_line_distances(pts)))
             bound = min(bound, clearance)
         r0 = 0.9 * bound
 
-    b1 = float(d["b1"]) if "b1" in d else default_b1(kappa, float(np.linalg.norm(pts[0])), r0)
+    if b1 is None:
+        b1 = default_b1(kappa, float(np.linalg.norm(pts[0])), r0)
 
     scene = Scene(
         kappa=kappa, cap=cap, targets=targets, intensity=intensity,
-        tau=tau, r0=r0, b1=b1,
-        normalize_weights=bool(d.get("normalize_weights", True)),
+        tau=tau, r0=r0, b1=b1, normalize_weights=normalize_weights,
     )
     validate_scene(scene)
     return scene
@@ -418,7 +434,7 @@ def validation_report(scene: Scene, grid: QuadratureGrid) -> dict:
         "b_lower": [float(v) for v in lower],
         "b_upper": [float(v) for v in upper],
         "structural_margins": [[i, j, m] for (i, j, m) in margins],
-        "structural_supported": bool(all(m > 0.0 for (_, _, m) in margins)) if margins else True,
+        "structural_supported": structurally_supported(margins),
         "total_energy": total,
         "sum_target_weights": float(np.sum(g)),
         "cap_area_error": abs(grid.total_weight - cap_area(scene.cap)),

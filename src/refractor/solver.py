@@ -32,6 +32,7 @@ from .scene import (
     admissible_bounds,
     alpha_bound,
     initial_admissible_vector,
+    structurally_supported,
     target_weights,
     validate_structural,
 )
@@ -343,12 +344,10 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
     mv = MeasureVector(H=trace.g_final, total=float(trace.g_final.sum()))
     labels = oracle.labels(b_final)
     residuals = np.abs(mv.H - g)
-    margins = validate_structural(scene)
-    supported = bool(all(m > 0.0 for (_, _, m) in margins)) if margins else True
     return RefractorSolution(
         b=b_final, measure=mv, labels=labels, g=g, residuals=residuals,
         epsilon=epsilon, delta=delta, total=total, trace=trace,
-        bound_supported=supported,
+        bound_supported=structurally_supported(validate_structural(scene)),
     )
 
 

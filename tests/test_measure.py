@@ -13,7 +13,6 @@ from refractor import measure as measure_module
 from refractor.geometry import CapDomain, QuadratureGrid, build_quadrature, dir_from_spherical
 from refractor.measure import (
     ROWS_PER_WRITE,
-    CellAssignment,
     MeasureOracle,
     SurfaceMesh,
     assign_cells,
@@ -35,7 +34,7 @@ from refractor.scene import (
     TargetPoint,
     initial_admissible_vector,
 )
-from refractor.parallel import CHUNK, chunk_slices, worker_count
+from refractor.parallel import CHUNK, chunk_slices
 
 
 def cap_directions(rng, cap, n):
@@ -69,29 +68,6 @@ def test_chunking_covers_range():
     assert sls[-1] == slice(3 * CHUNK, 3 * CHUNK + 17)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("REFRACTOR_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("REFRACTOR_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("REFRACTOR_THREADS", "lots")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("REFRACTOR_THREADS", "-2")
-    with pytest.raises(ValueError):
-        worker_count()
-
-
-def test_radii_matrix_bitwise_across_workers(canonical_scene, b_init, rng, monkeypatch):
-    """Chunk boundaries are fixed, so the worker count cannot change a bit."""
-    dirs = cap_directions(rng, canonical_scene.cap, 2 * CHUNK + 17)
-    monkeypatch.setenv("REFRACTOR_THREADS", "1")
-    serial = radii_matrix(canonical_scene, b_init, dirs)
-    monkeypatch.setenv("REFRACTOR_THREADS", "4")
-    threaded = radii_matrix(canonical_scene, b_init, dirs)
-    assert np.array_equal(serial, threaded)
-
-
 def test_rho_at_axis(canonical_scene, b_init):
     r, label = rho(canonical_scene, b_init, [0.0, 0.0, 1.0])
     assert label == 0
@@ -102,15 +78,14 @@ def test_rho_at_axis(canonical_scene, b_init):
 # --- cell assignment ----------------------------------------------------------
 
 def test_initial_vector_floods_first_cell(canonical_scene, b_init, grid64):
-    assignment = assign_cells(canonical_scene, b_init, grid64)
-    assert np.all(assignment.labels == 0)
+    assert np.all(assign_cells(canonical_scene, b_init, grid64) == 0)
 
 
 def test_flood_vector_floods_each_cell(canonical_scene, b_init, grid64):
     for i in range(4):
         bf = flood_vector(canonical_scene, b_init, i)
-        assignment = assign_cells(canonical_scene, bf, grid64)
-        assert np.all(assignment.labels == i), f"cell {i} did not flood"
+        labels = assign_cells(canonical_scene, bf, grid64)
+        assert np.all(labels == i), f"cell {i} did not flood"
 
 
 def test_flood_vector_formula(canonical_scene, b_init):
@@ -130,8 +105,7 @@ def test_identical_targets_tie_everywhere(grid64):
                targets=(TargetPoint(p, 1.0), TargetPoint(p.copy(), 1.0)),
                intensity=IntensitySpec(kind="constant", amplitude=1.0),
                tau=0.2, r0=0.5, b1=1.6)
-    assignment = assign_cells(sc, [1.6, 1.6], grid64)
-    assert np.all(assignment.labels == 0)  # smallest index wins
+    assert np.all(assign_cells(sc, [1.6, 1.6], grid64) == 0)  # smallest index wins
 
 
 # --- energies -----------------------------------------------------------------
@@ -251,9 +225,9 @@ def test_write_obj_roundtrip(canonical_scene, b_init, tmp_path):
 
 def test_write_label_csv(canonical_scene, b_init, grid64, tmp_path):
     f = canonical_scene.intensity.values(grid64)
-    assignment = assign_cells(canonical_scene, b_init, grid64)
+    labels = assign_cells(canonical_scene, b_init, grid64)
     path = tmp_path / "labels.csv"
-    write_label_csv(path, grid64, f, assignment)
+    write_label_csv(path, grid64, f, labels)
     lines = path.read_text().splitlines()
     assert lines[0] == "node_index,theta,phi,weight,f,label"
     assert len(lines) == grid64.n_nodes + 1
@@ -402,7 +376,7 @@ def _reference_obj(mesh, path):
             fh.write(f"f {a}//{a} {b}//{b} {c}//{c}\n")
 
 
-def _reference_label_csv(path, grid, f_values, assignment):
+def _reference_label_csv(path, grid, f_values, labels):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_index", "theta", "phi", "weight", "f", "label"])
@@ -410,7 +384,7 @@ def _reference_label_csv(path, grid, f_values, assignment):
             writer.writerow([
                 k, repr(float(grid.thetas[k])), repr(float(grid.phis[k])),
                 repr(float(grid.weights[k])), repr(float(f_values[k])),
-                int(assignment.labels[k]) + 1,
+                int(labels[k]) + 1,
             ])
 
 
@@ -438,10 +412,10 @@ def test_write_label_csv_bytes_match_reference(canonical_scene, tmp_path):
     grid = build_quadrature(canonical_scene.cap, 160, 128)
     assert grid.n_nodes > ROWS_PER_WRITE
     f = canonical_scene.intensity.values(grid)
-    assignment = assign_cells(canonical_scene, B_DESIGN, grid)
-    assert len(np.unique(assignment.labels)) == 4
-    write_label_csv(tmp_path / "got.csv", grid, f, assignment)
-    _reference_label_csv(tmp_path / "ref.csv", grid, f, assignment)
+    labels = assign_cells(canonical_scene, B_DESIGN, grid)
+    assert len(np.unique(labels)) == 4
+    write_label_csv(tmp_path / "got.csv", grid, f, labels)
+    _reference_label_csv(tmp_path / "ref.csv", grid, f, labels)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -455,9 +429,8 @@ def _hand_grid(thetas, phis, weights):
 
 
 def _assert_label_csv_matches(tmp_path, grid, f, labels):
-    assignment = CellAssignment(labels=labels)
-    write_label_csv(tmp_path / "got.csv", grid, f, assignment)
-    _reference_label_csv(tmp_path / "ref.csv", grid, f, assignment)
+    write_label_csv(tmp_path / "got.csv", grid, f, labels)
+    _reference_label_csv(tmp_path / "ref.csv", grid, f, labels)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

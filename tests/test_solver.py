@@ -428,7 +428,7 @@ def test_solution_labels_are_argmin_at_b_final(canonical_scene, grid256, solutio
     mirror_sol = solve_refractor(mirror_scene, mirror_grid)
     for scene, grid, sol in ((canonical_scene, grid256, solution256),
                              (mirror_scene, mirror_grid, mirror_sol)):
-        labels = assign_cells(scene, sol.b, grid).labels
+        labels = assign_cells(scene, sol.b, grid)
         assert len(np.unique(labels)) == scene.n_targets
         assert sol.labels.dtype == labels.dtype
         assert np.array_equal(sol.labels, labels)
@@ -498,7 +498,7 @@ def test_crossing_with_tied_switch_values():
         assert closed[3] == 2 and closed[4]
         assert closed[2] == bisected[2]
         assert frac * total <= closed[2] <= (frac + 0.1) * total
-        labels = assign_cells(scene, closed[0], grid).labels
+        labels = assign_cells(scene, closed[0], grid)
         assert np.count_nonzero(labels == 1) % grid.n_phi == 0
 
 
