@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import build_quadrature
-from .measure import export_mesh, write_label_csv, write_obj
+from .measure import export_mesh, write_json, write_label_csv, write_obj
 from .oval import DegenerateNormal, NonPositiveDiscriminant
 from .raytrace import TotalInternalReflection, validate_transport, write_ray_csv, write_report_json
 from .scene import SceneValidationError, load_scene, validation_report
@@ -105,9 +105,7 @@ def run_validate(args) -> int:
     if not report["structural_supported"]:
         print("warning: structural condition unsupported; termination bound not guaranteed", file=sys.stderr)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        write_json(report, args.json)
     return EXIT_OK
 
 
@@ -143,9 +141,7 @@ def run_solve(args) -> int:
         "converged": bool(trace.converged),
         "wall_time": wall,
     }
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    write_json(result, args.out)
     if args.log:
         write_convergence_csv(trace, args.log)
     if args.labels:

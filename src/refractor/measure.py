@@ -18,6 +18,7 @@ MeasureOracle.crossing finds in closed form where H_j reaches a target value.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,34 @@ def radii_matrix(scene: Scene, b, dirs: np.ndarray) -> np.ndarray:
     return np.concatenate(map_chunks(work, n), axis=0)
 
 
+def surface(scene: Scene, b, dirs: np.ndarray):
+    """(labels, radius, normals) of the refractor at unit directions dirs (n, 3):
+    each direction takes the lowest oval there (smaller index on ties), its
+    radius and its outward normal. Chunked, so no (n, N) matrix is held."""
+    b = check_b_vector(scene, b)
+    n = dirs.shape[0]
+    labels, radius, normals = np.empty(n, dtype=np.intp), np.empty(n), np.empty((n, 3))
+
+    def work(sl):
+        x = dirs[sl]
+        radii = radii_matrix(scene, b, x)
+        lab = np.argmin(radii, axis=1)
+        labels[sl] = lab
+        radius[sl] = radii[np.arange(lab.size), lab]
+        nu = normals[sl]
+        for j in range(scene.n_targets):
+            mask = lab == j
+            if np.any(mask):
+                nu[mask] = normals_for_directions(x[mask], scene.points[j], float(b[j]), scene.kappa)
+
+    map_chunks(work, n)
+    return labels, radius, normals
+
+
 def rho(scene: Scene, b, x):
     """Surface radius and owning target index at a single unit direction."""
-    radii = radii_matrix(scene, b, np.asarray(x, dtype=float).reshape(1, 3))[0]
-    label = int(np.argmin(radii))
-    return float(radii[label]), label
+    labels, radius, _ = surface(scene, b, np.asarray(x, dtype=float).reshape(1, 3))
+    return float(radius[0]), int(labels[0])
 
 
 def assign_cells(scene: Scene, b, grid: QuadratureGrid) -> np.ndarray:
@@ -255,12 +279,10 @@ def export_mesh(scene: Scene, b, n_theta: int, n_phi: int) -> SurfaceMesh:
 
     Rings sit at theta_k = half_angle*(k+1)/n_theta (the apex point is skipped
     to avoid degenerate fans), azimuths at phi_l = 2 pi l / n_phi, theta-major
-    vertex order. At cell creases the smaller-index oval supplies the normal,
-    which is what the argmin labeling already yields.
+    vertex order. Radius, normal and label of each vertex come from surface.
     """
     if n_theta < 2 or n_phi < 3:
         raise ValueError("mesh needs n_theta >= 2 and n_phi >= 3")
-    b = check_b_vector(scene, b)
     psi = scene.cap.half_angle
     thetas = psi * (np.arange(n_theta) + 1.0) / n_theta
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -268,18 +290,8 @@ def export_mesh(scene: Scene, b, n_theta: int, n_phi: int) -> SurfaceMesh:
     pp = np.tile(phis, n_theta)
     dirs = dir_from_spherical(tt, pp, scene.cap)
 
-    radii = radii_matrix(scene, b, dirs)
-    labels = np.argmin(radii, axis=1)
-    rr = radii[np.arange(len(labels)), labels]
-    vertices = rr[:, None] * dirs
-
-    normals = np.empty_like(vertices)
-    for j in range(scene.n_targets):
-        mask = labels == j
-        if np.any(mask):
-            normals[mask] = normals_for_directions(
-                dirs[mask], scene.points[j], float(b[j]), scene.kappa
-            )
+    labels, radius, normals = surface(scene, b, dirs)
+    vertices = radius[:, None] * dirs
 
     # quad (k, l) -> triangles (a, bb, c), (a, c, d); a, bb on ring k, d, c on ring k + 1
     ring = (np.arange(n_theta - 1) * n_phi)[:, None]
@@ -330,6 +342,13 @@ def write_rows(fh, template: str, columns) -> None:
     for lo in range(0, n, ROWS_PER_WRITE):
         rows = zip(*(block(c, lo) for c in columns))
         fh.write("".join(map(template.__mod__, rows)))
+
+
+def write_json(obj, path) -> None:
+    """Write obj as JSON with a 2-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def write_obj(mesh: SurfaceMesh, path) -> None:

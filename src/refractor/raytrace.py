@@ -9,16 +9,15 @@ normal of either side is legitimate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import QuadratureGrid
-from .measure import distinct_strings, node_energies, radii_matrix, write_rows
-from .oval import normals_for_directions
-from .parallel import map_chunks
-from .scene import Scene, check_b_vector
+from .measure import distinct_strings, node_energies, surface, write_json, write_rows
+from .measure import radii_matrix  # noqa: F401  benchmark/tracing.py wraps raytrace.radii_matrix
+from .parallel import map_chunks  # noqa: F401  benchmark/tracing.py wraps raytrace.map_chunks
+from .scene import Scene
 from .snell import critical_cos
 
 
@@ -95,20 +94,16 @@ def _line_point_distance(origin, direction, point):
 
 def trace_ray(scene: Scene, b, x) -> RayRecord:
     """Trace a single unit direction; see module docstring for the pipeline."""
-    b = check_b_vector(scene, b)
     x = np.asarray(x, dtype=float)
-    radii = radii_matrix(scene, b, x.reshape(1, 3))[0]
-    label = int(np.argmin(radii))
-    r = float(radii[label])
+    labels, radius, normals = surface(scene, b, x.reshape(1, 3))
+    label, r, nu = int(labels[0]), float(radius[0]), normals[0]
     X = r * x
-    nu = normals_for_directions(x.reshape(1, 3), scene.points[label], float(b[label]), scene.kappa)[0]
-    m, lam = _refract_batch(x.reshape(1, 3), nu.reshape(1, 3), scene.kappa)
+    m, lam = _refract_batch(x.reshape(1, 3), normals, scene.kappa)
     miss = float(_line_point_distance(X, m[0], scene.points[label]))
-    p = float(scene.p_norms[label])
     return RayRecord(
         direction=x, label=label, radius=r, surface_point=X,
         normal=nu, refracted=m[0], lam=float(lam[0]),
-        miss=miss, rel_miss=miss / p,
+        miss=miss, rel_miss=miss / float(scene.p_norms[label]),
     )
 
 
@@ -143,34 +138,16 @@ def validate_transport(scene: Scene, b, grid: QuadratureGrid, tol_rel: float = 1
     non-crease rays grouped by nearest target) must equal the cell energies
     restricted to the same non-crease nodes.
     """
-    b = check_b_vector(scene, b)
     n = grid.n_nodes
-    radii = radii_matrix(scene, b, grid.nodes)
-    labels = np.argmin(radii, axis=1)
-    rr = radii[np.arange(n), labels]
-    del radii  # the distance pass below sets the peak memory of a trace
-    X = rr[:, None] * grid.nodes
-
-    kappa = scene.kappa
-    pts = scene.points
-
-    def work(sl):
-        dirs = grid.nodes[sl]
-        out_nu = np.empty_like(dirs)
-        for j in range(scene.n_targets):
-            mask = labels[sl] == j
-            if np.any(mask):
-                out_nu[mask] = normals_for_directions(dirs[mask], pts[j], float(b[j]), kappa)
-        return out_nu
-
-    nu = np.concatenate(map_chunks(work, n), axis=0)
-    m, _ = _refract_batch(grid.nodes, nu, kappa)
-    del nu
+    labels, radius, nu = surface(scene, b, grid.nodes)
+    X = radius[:, None] * grid.nodes
+    m, _ = _refract_batch(grid.nodes, nu, scene.kappa)
+    del nu  # the distance pass below sets the peak memory of a trace
 
     # distance from each refracted line to every target; nearest decides landing
     dists = np.empty((n, scene.n_targets))
     for j in range(scene.n_targets):
-        dists[:, j] = _line_point_distance(X, m, pts[j])
+        dists[:, j] = _line_point_distance(X, m, scene.points[j])
     nearest = np.argmin(dists, axis=1)
     miss_named = dists[np.arange(n), labels]
     miss_nearest = dists[np.arange(n), nearest]
@@ -214,9 +191,7 @@ def validate_transport(scene: Scene, b, grid: QuadratureGrid, tol_rel: float = 1
 
 
 def write_report_json(report: TransportReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(report.to_dict(), path)
 
 
 def write_ray_csv(report: TransportReport, grid: QuadratureGrid, path) -> None:

@@ -297,6 +297,9 @@ def target_weights(scene: Scene, grid: QuadratureGrid, f_values: np.ndarray) -> 
     total; otherwise the sums must already agree within quadrature tolerance.
     """
     total = float(np.sum(f_values * grid.weights))
+    if not total > 0.0:
+        raise SceneValidationError(f"source energy on the {grid.n_theta}x{grid.n_phi} grid is "
+                                   f"{total!r}; widen the intensity")
     raw = scene.raw_weights
     raw_sum = float(np.sum(raw))
     if scene.normalize_weights:
@@ -335,21 +338,31 @@ def validate_scene(scene: Scene) -> float:
 
 # --- JSON loading ------------------------------------------------------------
 
+SMALLEST, LARGEST = 1e-50, 1e50   # magnitude range of a scene number
+
+
 def _finite(value, name: str):
-    """A JSON number as a float, or a list of them as a float array; NaN and
-    infinities are refused."""
+    """A JSON number as a float, or a list of them as a float array. NaN,
+    infinities, magnitudes above LARGEST and nonzero scalars below SMALLEST
+    (each scalar is a scale the program squares or divides by) are refused."""
     out = np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
     if not np.all(np.isfinite(out)):
         raise SceneValidationError(f"{name} must be finite, got {value!r}")
+    size = np.abs(out)
+    if np.any(size > LARGEST):
+        raise SceneValidationError(f"{name} must not exceed {LARGEST:g} in magnitude, got {value!r}")
+    if not isinstance(value, list) and 0.0 < size < SMALLEST:
+        raise SceneValidationError(f"{name} must be 0 or at least {SMALLEST:g} in magnitude, got {value!r}")
     return out
 
 
 def scene_from_dict(d: dict) -> Scene:
     """Build and validate a Scene from a plain dict (see README for the schema).
 
-    Every number must be finite and normalize_weights a boolean. tau, r0 and
-    b1 may be omitted; defaults are 0.9*tau_star, 90% of the r0 bound (capped
-    by pairwise line clearance), and default_b1 respectively.
+    Numbers must be finite and at most 1e50 in magnitude, nonzero scalars at
+    least 1e-50, normalize_weights a boolean. tau, r0 and b1 may be omitted;
+    defaults are 0.9*tau_star, 90% of the r0 bound (capped by pairwise line
+    clearance), and default_b1 respectively.
     """
     try:
         kappa = _finite(d["kappa"], "kappa")

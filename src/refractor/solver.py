@@ -20,13 +20,12 @@ The first coordinate is never adjusted; it anchors the family.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .measure import MeasureOracle, MeasureVector, node_energies, total_energy
+from .measure import MeasureOracle, MeasureVector, node_energies, total_energy, write_rows
 from .scene import (
     Scene,
     admissible_bounds,
@@ -353,15 +352,12 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
 
 def write_convergence_csv(trace: SolverTrace, path) -> None:
     """Per-step log: group, step, coordinate (1-based), b values, G values, evals."""
+    steps = trace.steps
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "group", "step", "coordinate", "b_old", "b_new",
-            "G_target_before", "G_target_after", "oracle_evals",
+        fh.write("group,step,coordinate,b_old,b_new,G_target_before,G_target_after,oracle_evals\r\n")
+        write_rows(fh, "%d,%d,%d,%r,%r,%r,%r,%d\r\n", [
+            [s.group for s in steps], [s.position for s in steps],
+            [s.coordinate + 1 for s in steps],
+            *([getattr(s, k) for s in steps] for k in ("b_old", "b_new", "g_before", "g_after")),
+            [s.oracle_evals for s in steps],
         ])
-        for s in trace.steps:
-            writer.writerow([
-                s.group, s.position, s.coordinate + 1,
-                repr(s.b_old), repr(s.b_new),
-                repr(s.g_before), repr(s.g_after), s.oracle_evals,
-            ])

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -393,9 +394,58 @@ def test_non_finite_or_non_boolean_scene_field_exits_2(tmp_path, capsys, path, v
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("edits, message", [
+    ([(("targets", 0, "point"), [1e200, 0.0, 1e200])],
+     "target 1 point must not exceed 1e+50 in magnitude"),
+    ([(("targets", 0, "weight"), 1e308), (("targets", 1, "weight"), 1e308)],
+     "target 1 weight must not exceed 1e+50 in magnitude"),
+    ([(("intensity",), {"kind": "axial-gaussian", "amplitude": 1.0, "width_deg": 1e-300})],
+     "intensity width_deg must be 0 or at least 1e-50 in magnitude"),
+])
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("warnings_as_errors", [False, True])
+def test_extreme_finite_scene_number_exits_2(tmp_path, capsys, edits, message, command,
+                                            warnings_as_errors):
+    """Finite numbers whose squares or sums overflow are refused by the loader,
+    which names the field, before numpy can warn of an overflow."""
+    d = _canonical_dict()
+    for path, value in edits:
+        _set(d, path, value)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(d))
+    out = tmp_path / "result.json"
+    argv = [command, str(scene), "--grid", "16x16"]
+    if command == "solve":
+        argv += ["--out", str(out), "--log", ""]
+    with warnings.catch_warnings():
+        if warnings_as_errors:
+            warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}, got ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_source_without_energy_on_the_grid_exits_2(tmp_path, capsys, command):
+    """An admissible but very narrow gaussian puts no energy on any node."""
+    d = _canonical_dict()
+    d["intensity"] = {"kind": "axial-gaussian", "amplitude": 1.0, "width_deg": 1e-40}
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(d))
+    extra = ["--out", str(tmp_path / "result.json"), "--log", ""] if command == "solve" else []
+    assert main([command, str(scene), "--grid", "16x16", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: source energy on the 16x16 grid is 0.0; widen the intensity\n"
+    assert captured.out == ""
+
+
 # --- the exit-code contract on drawn scenes ------------------------------------------
 
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+LARGE = (1e200, -1e200, 1e308)   # finite, beyond the loader's magnitude range
+TINY = (1e-300, 5e-324)          # refused as a scalar, harmless as a vector component
 
 
 @st.composite
@@ -445,7 +495,7 @@ def _run(argv):
 
 @settings(max_examples=200, deadline=None)
 @given(d=scene_dicts(), command=st.sampled_from(["validate", "solve", "trace", "mesh"]),
-       fault=st.sampled_from(["none", "non-finite", "missing-dir"]),
+       fault=st.sampled_from(["none", "non-finite", "extreme", "missing-dir"]),
        size=st.integers(8, 32), eps_rel=st.floats(0.02, 0.3), data=st.data())
 def test_cli_exit_code_contract(tmp_path_factory, d, command, fault, size, eps_rel, data):
     work = tmp_path_factory.mktemp("contract")
@@ -462,8 +512,11 @@ def test_cli_exit_code_contract(tmp_path_factory, d, command, fault, size, eps_r
     b_file = work / "b.json"
     b_file.write_text(json.dumps(b))
 
-    if fault == "non-finite":
-        _set(d, data.draw(st.sampled_from(_number_paths(d))), data.draw(st.sampled_from(NON_FINITE)))
+    if fault in ("non-finite", "extreme"):
+        path = data.draw(st.sampled_from(_number_paths(d)))
+        values = (NON_FINITE if fault == "non-finite"
+                  else LARGE + (TINY if isinstance(path[-1], str) else ()))
+        _set(d, path, data.draw(st.sampled_from(values)))
     scene = work / "scene.json"
     scene.write_text(json.dumps(d))
     outdir = work / "missing" if fault == "missing-dir" else work

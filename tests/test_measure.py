@@ -22,11 +22,19 @@ from refractor.measure import (
     radii_matrix,
     refractor_measure,
     rho,
+    surface,
     total_energy,
     write_label_csv,
     write_obj,
 )
-from refractor.oval import NonPositiveDiscriminant, OvalParams, oval_extrema, oval_radius
+from refractor.oval import (
+    NonPositiveDiscriminant,
+    OvalParams,
+    normals_for_directions,
+    oval_extrema,
+    oval_normal,
+    oval_radius,
+)
 from refractor.scene import (
     InadmissibleBVector,
     IntensitySpec,
@@ -73,6 +81,73 @@ def test_rho_at_axis(canonical_scene, b_init):
     assert label == 0
     ov = OvalParams(canonical_scene.targets[0].point, canonical_scene.b1, 0.3)
     assert abs(r - oval_radius(np.array([0.0, 0.0, 1.0]), ov)) < 1e-15
+
+
+# --- surface: cell, radius and normal ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def chunk_span(canonical_scene):
+    """CHUNK + 17 cap directions, so the input spans a chunk boundary, and the
+    surface there at the canonical design, where all four cells meet."""
+    dirs = cap_directions(np.random.default_rng(20261019), canonical_scene.cap, CHUNK + 17)
+    return dirs, surface(canonical_scene, B_DESIGN, dirs)
+
+
+def test_surface_is_argmin_of_radii_matrix(canonical_scene, chunk_span):
+    dirs, (labels, radius, _) = chunk_span
+    radii = radii_matrix(canonical_scene, B_DESIGN, dirs)
+    expected = np.argmin(radii, axis=1)
+    assert set(np.unique(expected)) == {0, 1, 2, 3}
+    assert np.array_equal(labels, expected)
+    assert np.array_equal(radius, np.take_along_axis(radii, expected[:, None], axis=1)[:, 0])
+
+
+def test_surface_normals_are_the_owning_ovals(canonical_scene, chunk_span):
+    """Bitwise normals_for_directions of each cell's directions in each chunk,
+    and within 1e-12 of the scalar oval_normal on both sides of the chunk
+    boundary."""
+    dirs, (labels, _, normals) = chunk_span
+    expected = np.empty_like(normals)
+    for sl in chunk_slices(len(dirs)):
+        for j in range(4):
+            mask = labels[sl] == j
+            expected[sl][mask] = normals_for_directions(
+                dirs[sl][mask], canonical_scene.points[j], B_DESIGN[j], canonical_scene.kappa)
+    assert np.array_equal(normals, expected)
+    for k in [*range(100), *range(CHUNK - 100, CHUNK + 17)]:
+        j = int(labels[k])
+        ov = OvalParams(canonical_scene.points[j], B_DESIGN[j], canonical_scene.kappa)
+        assert np.max(np.abs(normals[k] - oval_normal(dirs[k], ov))) < 1e-12
+
+
+def test_surface_tie_takes_the_smaller_index_normal():
+    """Targets mirrored exactly in y with equal b tie bitwise on the plane
+    y = 0, where their normals differ in the sign of y: target 1 supplies it."""
+    p = np.array([-2.4620193825305208, 0.8682408883346514, 4.264342659762216])
+    q = p * [1.0, -1.0, 1.0]
+    sc = Scene(kappa=0.3, cap=CapDomain(axis=np.array([0.0, 0.0, 1.0]), half_angle=np.deg2rad(10.0)),
+               targets=(TargetPoint(p, 1.0), TargetPoint(q, 1.0)),
+               intensity=IntensitySpec(kind="constant", amplitude=1.0), tau=0.2, r0=0.5, b1=1.6)
+    s = np.linspace(-0.17, 0.17, 41)
+    dirs = np.stack([s, np.zeros_like(s), np.sqrt(1.0 - s * s)], axis=1)
+    radii = radii_matrix(sc, [1.6, 1.6], dirs)
+    assert np.array_equal(radii[:, 0], radii[:, 1])
+    labels, radius, normals = surface(sc, [1.6, 1.6], dirs)
+    assert np.all(labels == 0)
+    assert np.array_equal(radius, radii[:, 0])
+    assert np.array_equal(normals, normals_for_directions(dirs, p, 1.6, 0.3))
+    assert np.all(normals[:, 1] < 0.0) and np.all(normals_for_directions(dirs, q, 1.6, 0.3)[:, 1] > 0.0)
+
+
+def test_rho_is_a_row_of_surface(canonical_scene, chunk_span):
+    dirs, (labels, radius, _) = chunk_span
+    for k in (0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 16):
+        assert rho(canonical_scene, B_DESIGN, dirs[k]) == (radius[k], labels[k])
+
+
+def test_rho_refuses_inadmissible_b(canonical_scene):
+    with pytest.raises(InadmissibleBVector):
+        rho(canonical_scene, [1.0, 1.6, 1.6, 1.6], [0.0, 0.0, 1.0])
 
 
 # --- cell assignment ----------------------------------------------------------

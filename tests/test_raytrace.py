@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refractor import measure as measure_module
-from refractor.geometry import CapDomain, QuadratureGrid, build_quadrature, normalize
-from refractor.measure import ROWS_PER_WRITE, total_energy
+from refractor.geometry import (
+    CapDomain,
+    QuadratureGrid,
+    build_quadrature,
+    dir_from_spherical,
+    normalize,
+)
+from refractor.measure import ROWS_PER_WRITE, surface, total_energy
 from refractor.oval import OvalParams, oval_extrema
 from refractor.raytrace import (
     TotalInternalReflection,
@@ -59,6 +65,24 @@ def test_trace_ray_canonical_interior(canonical_scene, rng):
 def test_trace_ray_rejects_inadmissible_b(canonical_scene):
     with pytest.raises(InadmissibleBVector):
         trace_ray(canonical_scene, [1.0, 1.6, 1.6, 1.6], [0.0, 0.0, 1.0])
+
+
+def test_trace_ray_is_a_row_of_surface(canonical_scene, rng):
+    """Label and radius bitwise those of the batch row. The normal may differ
+    by a few 1e-16: normals_for_directions takes x . P as a BLAS
+    matrix-vector product, whose rounding can depend on the row's place in
+    the batch."""
+    b = [1.6, 1.5951188098475972, 1.5951231601142357, 1.6000067538637417]
+    n = 400
+    dirs = dir_from_spherical(canonical_scene.cap.half_angle * np.sqrt(rng.random(n)),
+                              2 * np.pi * rng.random(n), canonical_scene.cap)
+    labels, radius, normals = surface(canonical_scene, b, dirs)
+    assert set(np.unique(labels)) == {0, 1, 2, 3}
+    for k in range(n):
+        rec = trace_ray(canonical_scene, b, dirs[k])
+        assert (rec.label, rec.radius) == (labels[k], radius[k])
+        assert np.array_equal(rec.surface_point, radius[k] * dirs[k])
+        assert np.max(np.abs(rec.normal - normals[k])) <= 1e-15
 
 
 # --- batch refraction -------------------------------------------------------------
