@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import QuadratureGrid, dir_from_spherical
-from .oval import _radius_from_t, normals_for_directions
+from .oval import _radius_from_t, dot, normals_for_directions
 from .parallel import map_chunks
 from .scene import Scene, check_b_vector
 
@@ -40,8 +40,8 @@ class MeasureVector:
 def radii_matrix(scene: Scene, b, dirs: np.ndarray) -> np.ndarray:
     """Oval radii h(x, P_j, b_j) for unit directions dirs (n, 3) -> (n, N).
 
-    Dot products are accumulated componentwise (not via GEMM) so chunked and
-    unchunked evaluation agree bitwise.
+    t = x . P_j comes from oval.dot, so chunked and unchunked evaluation agree
+    bitwise.
     """
     b = np.asarray(b, dtype=float)
     pts = scene.points
@@ -53,8 +53,7 @@ def radii_matrix(scene: Scene, b, dirs: np.ndarray) -> np.ndarray:
         x = dirs[sl]
         cols = np.empty((x.shape[0], scene.n_targets))
         for j in range(scene.n_targets):
-            t = x[:, 0] * pts[j, 0] + x[:, 1] * pts[j, 1] + x[:, 2] * pts[j, 2]
-            cols[:, j], _ = _radius_from_t(t, float(b[j]), float(p_norms[j]), kappa)
+            cols[:, j], _ = _radius_from_t(dot(x, pts[j]), float(b[j]), float(p_norms[j]), kappa)
         return cols
 
     return np.concatenate(map_chunks(work, n), axis=0)
@@ -63,7 +62,8 @@ def radii_matrix(scene: Scene, b, dirs: np.ndarray) -> np.ndarray:
 def surface(scene: Scene, b, dirs: np.ndarray):
     """(labels, radius, normals) of the refractor at unit directions dirs (n, 3):
     each direction takes the lowest oval there (smaller index on ties), its
-    radius and its outward normal. Chunked, so no (n, N) matrix is held."""
+    radius and that oval's outward normal at that very radius, so each oval
+    is evaluated once per direction. Chunked, so no (n, N) matrix is held."""
     b = check_b_vector(scene, b)
     n = dirs.shape[0]
     labels, radius, normals = np.empty(n, dtype=np.intp), np.empty(n), np.empty((n, 3))
@@ -73,12 +73,12 @@ def surface(scene: Scene, b, dirs: np.ndarray):
         radii = radii_matrix(scene, b, x)
         lab = np.argmin(radii, axis=1)
         labels[sl] = lab
-        radius[sl] = radii[np.arange(lab.size), lab]
+        h = radius[sl] = radii[np.arange(lab.size), lab]
         nu = normals[sl]
         for j in range(scene.n_targets):
             mask = lab == j
             if np.any(mask):
-                nu[mask] = normals_for_directions(x[mask], scene.points[j], float(b[j]), scene.kappa)
+                nu[mask] = normals_for_directions(x[mask], h[mask], scene.points[j], scene.kappa)
 
     map_chunks(work, n)
     return labels, radius, normals
@@ -120,15 +120,13 @@ class MeasureOracle:
 
     The rows t_j = x . P_j and h_j = h(x, P_j, base_j) are kept target-major,
     so each row is contiguous, and a call recomputes only the rows whose b_j
-    moved. A call that moves several coordinates labels the nodes by a
-    strict-less minimum chain over the rows, which keeps argmin's
-    smallest-index tie rule. While the calls move the single coordinate j,
-    the oracle holds low and arg, the minimum and first-index argmin of the
-    other rows. Node k is in cell j when h_j < low, or h_j == low and j < arg;
-    the tie case is folded into one test h_j < low by taking the next float
-    above low where j < arg. Such a call evaluates row j and labels the nodes
-    by where(h_j < low, j, arg). Either way H is the bincount of all labels in
-    node order, so the summation order never changes.
+    moved. For j, the last of those rows, the oracle holds low and arg, the
+    minimum and first-index argmin of the other rows; it keeps them while the
+    calls move j alone. Node k is in cell j when h_j < low, or h_j == low and
+    j < arg; the tie case is folded into one test h_j < low by taking the next
+    float above low where j < arg, so where(h_j < low, j, arg) labels the
+    nodes with argmin's smallest-index tie rule. H is the bincount of all
+    labels in node order, so the summation order never changes.
     """
 
     def __init__(self, scene: Scene, grid: QuadratureGrid, energies):
@@ -136,11 +134,9 @@ class MeasureOracle:
         self._p_norms = scene.p_norms
         self._kappa = scene.kappa
         self._energies = np.asarray(energies, dtype=float)
-        nodes = grid.nodes
-        pts = scene.points
         self._t = np.empty((scene.n_targets, grid.n_nodes))
         for j in range(scene.n_targets):
-            self._t[j] = nodes[:, 0] * pts[j, 0] + nodes[:, 1] * pts[j, 1] + nodes[:, 2] * pts[j, 2]
+            self._t[j] = dot(grid.nodes, scene.points[j])
         self._radii = np.empty_like(self._t)
         self._base = np.full(scene.n_targets, np.nan)  # b_j of radius row j; NaN = stale
         self._labels = None
@@ -207,23 +203,29 @@ class MeasureOracle:
             return self._H
         self._b = None
         changed = np.flatnonzero(b != self._base)
-        if changed.size == 1:
-            j = int(changed[0])
-            low, arg = self._others_of(j)
-            self._set_rows(b, [j])
-            self._labels = np.where(self._radii[j] < low, j, arg)
-        elif changed.size:
-            self._others = None
+        if changed.size:
+            if changed.size > 1:
+                self._others = None
             self._set_rows(b, changed)
-            self._labels = _lowest(self._radii, range(self._n_targets))[1]
+            j = int(changed[-1])
+            low, arg = self._others_of(j)
+            self._labels = np.where(self._radii[j] < low, j, arg)
         self._H = np.bincount(self._labels, weights=self._energies, minlength=self._n_targets)
         self._b = b
         return self._H
 
     def _others_of(self, j: int):
-        """low and arg of the rows other than j, with the tie fold for j."""
+        """low and arg of the rows other than j, with the tie fold for j: per
+        node, their minimum and the first row attaining it, by a strict-less
+        chain in row order, as argmin breaks ties."""
         if self._others is None or self._others[0] != j:
-            low, arg = _lowest(self._radii, [i for i in range(self._n_targets) if i != j])
+            low = np.full(self._radii.shape[1], np.inf)
+            arg = np.zeros(self._radii.shape[1], dtype=np.intp)
+            for i in range(self._n_targets):
+                if i != j:
+                    less = self._radii[i] < low
+                    np.copyto(arg, i, where=less)
+                    np.copyto(low, self._radii[i], where=less)
             np.nextafter(low, np.inf, out=low, where=arg > j)
             self._others = (j, low, arg)
         return self._others[1:]
@@ -235,18 +237,6 @@ class MeasureOracle:
                 self._t[j], float(b[j]), float(self._p_norms[j]), self._kappa
             )
             self._base[j] = b[j]
-
-
-def _lowest(radii: np.ndarray, rows):
-    """Per node, the minimum over the given radius rows and the first row
-    attaining it: a strict-less chain in row order, as argmin breaks ties."""
-    low = np.full(radii.shape[1], np.inf)
-    arg = np.zeros(radii.shape[1], dtype=np.intp)
-    for i in rows:
-        less = radii[i] < low
-        np.copyto(arg, i, where=less)
-        np.copyto(low, radii[i], where=less)
-    return low, arg
 
 
 def flood_vector(scene: Scene, b, i: int) -> np.ndarray:

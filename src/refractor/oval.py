@@ -62,6 +62,14 @@ def delta(t, b, p_norm, kappa):
     return k2 * ((b - t) ** 2 + (1.0 - k2) * (p_norm * p_norm - t * t))
 
 
+def dot(x, p):
+    """t = x . p over the last axis of x, accumulated componentwise in a fixed
+    order rather than through BLAS, so a direction's t is the same bitwise
+    alone, in any batch and in any chunk."""
+    x = np.asarray(x, dtype=float)
+    return x[..., 0] * p[0] + x[..., 1] * p[1] + x[..., 2] * p[2]
+
+
 def _radius_from_t(t, b, p_norm, kappa):
     """Radius and discriminant from precomputed t = x . P (array friendly)."""
     d = delta(t, b, p_norm, kappa)
@@ -77,17 +85,13 @@ def _radius_from_t(t, b, p_norm, kappa):
 
 def oval_radius(x, oval: OvalParams):
     """Polar radius h(x) of the oval; x may be (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    t = x @ oval.focus
-    h, _ = _radius_from_t(t, oval.b, oval.p_norm, oval.kappa)
+    h, _ = _radius_from_t(dot(x, oval.focus), oval.b, oval.p_norm, oval.kappa)
     return h if np.ndim(h) else float(h)
 
 
 def oval_gradient(x, oval: OvalParams):
     """Gradient of the radial extension h(x . P) in x: (kappa^2 h / sqrt(delta)) P."""
-    x = np.asarray(x, dtype=float)
-    t = x @ oval.focus
-    h, d = _radius_from_t(t, oval.b, oval.p_norm, oval.kappa)
+    h, d = _radius_from_t(dot(x, oval.focus), oval.b, oval.p_norm, oval.kappa)
     k2 = oval.kappa ** 2
     return np.multiply.outer(k2 * h / np.sqrt(d), oval.focus)
 
@@ -98,11 +102,10 @@ def oval_db(x, oval: OvalParams):
     Equals 1/(1-kappa^2) + kappa^2 (t - b) / ((1-kappa^2) sqrt(delta)); for
     t = x . P >= b the value lies in [1/(1-kappa^2), 1/(1-kappa)].
     """
-    x = np.asarray(x, dtype=float)
-    t = x @ oval.focus
+    t = dot(x, oval.focus)
     _, d = _radius_from_t(t, oval.b, oval.p_norm, oval.kappa)
     k2 = oval.kappa ** 2
-    out = 1.0 / (1.0 - k2) + k2 * (np.asarray(t) - oval.b) / ((1.0 - k2) * np.sqrt(d))
+    out = 1.0 / (1.0 - k2) + k2 * (t - oval.b) / ((1.0 - k2) * np.sqrt(d))
     return out if np.ndim(out) else float(out)
 
 
@@ -135,13 +138,11 @@ def oval_normal(x, oval: OvalParams):
     return raw / nrm
 
 
-def normals_for_directions(x, focus, b, kappa):
-    """Batch outward normals for unit directions x of shape (n, 3) against one oval."""
-    x = np.asarray(x, dtype=float)
-    focus = np.asarray(focus, dtype=float)
-    t = x @ focus
-    h, _ = _radius_from_t(t, b, float(np.linalg.norm(focus)), kappa)
-    chord = focus[None, :] - h[:, None] * x
+def normals_for_directions(x, h, focus, kappa):
+    """Batch outward normals at the surface points h*x of one oval, for unit
+    directions x (n, 3) and the radii h (n,) that oval has there; every
+    operation is per row, so a row's normal does not depend on its batch."""
+    chord = focus - h[:, None] * x
     m = chord / np.linalg.norm(chord, axis=1)[:, None]
     raw = x - kappa * m
     nrm = np.linalg.norm(raw, axis=1)

@@ -18,7 +18,7 @@ from .measure import distinct_strings, node_energies, surface, write_json, write
 from .measure import radii_matrix  # noqa: F401  benchmark/tracing.py wraps raytrace.radii_matrix
 from .parallel import map_chunks  # noqa: F401  benchmark/tracing.py wraps raytrace.map_chunks
 from .scene import Scene
-from .snell import critical_cos
+from .snell import critical_cos, refract_rows
 
 
 class TotalInternalReflection(Exception):
@@ -71,17 +71,15 @@ class TransportReport:
 
 
 def _refract_batch(x, nu, kappa):
-    ci = x[:, 0] * nu[:, 0] + x[:, 1] * nu[:, 1] + x[:, 2] * nu[:, 2]
+    """snell.refract_rows, raising at the node of lowest incidence cosine when
+    any ray is beyond the critical angle."""
+    m, lam, ci = refract_rows(x, nu, kappa)
     crit = critical_cos(kappa)
     if np.any(ci < crit):
         k = int(np.argmin(ci))
         raise TotalInternalReflection(
             f"incidence cosine {ci[k]!r} below critical {crit!r} at node {k}"
         )
-    rad = 1.0 - (1.0 - ci * ci) / (kappa * kappa)
-    np.maximum(rad, 0.0, out=rad)
-    lam = ci - kappa * np.sqrt(rad)
-    m = (x - lam[:, None] * nu) / kappa
     return m, lam
 
 
@@ -110,23 +108,18 @@ def trace_ray(scene: Scene, b, x) -> RayRecord:
 def crease_mask(labels: np.ndarray, n_theta: int, n_phi: int, width: int = 2) -> np.ndarray:
     """Nodes within `width` grid cells of a label change (azimuth wraps)."""
     lab = labels.reshape(n_theta, n_phi)
-    diff = np.zeros_like(lab, dtype=bool)
-    diff |= lab != np.roll(lab, 1, axis=1)
-    diff |= lab != np.roll(lab, -1, axis=1)
+    diff = (lab != np.roll(lab, 1, axis=1)) | (lab != np.roll(lab, -1, axis=1))
     diff[1:, :] |= lab[1:, :] != lab[:-1, :]
     diff[:-1, :] |= lab[:-1, :] != lab[1:, :]
 
-    band = np.zeros_like(diff)
-    for dt in range(-width, width + 1):
-        rolled_t = np.zeros_like(diff)
-        if dt > 0:
-            rolled_t[dt:, :] = diff[:-dt, :]
-        elif dt < 0:
-            rolled_t[:dt, :] = diff[-dt:, :]
-        else:
-            rolled_t = diff
-        for dp in range(-width, width + 1):
-            band |= np.roll(rolled_t, dp, axis=1)
+    # dilate by width: clamped in theta, then wrapped in azimuth
+    band_t = diff.copy()
+    for d in range(1, width + 1):
+        band_t[d:, :] |= diff[:-d, :]
+        band_t[:-d, :] |= diff[d:, :]
+    band = band_t.copy()
+    for d in range(1, width + 1):
+        band |= np.roll(band_t, d, axis=1) | np.roll(band_t, -d, axis=1)
     return band.reshape(-1)
 
 

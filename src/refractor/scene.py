@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import CapDomain, QuadratureGrid, cap_area, cap_min_dot, normalize
-from .oval import delta
+from .oval import delta, dot
 
 
 class SceneValidationError(Exception):
@@ -282,7 +282,7 @@ def scene_c0(scene: Scene, grid: QuadratureGrid) -> float:
     lower, upper = admissible_bounds(scene)
     c0 = np.inf
     for j in range(scene.n_targets):
-        t = grid.nodes @ scene.points[j]
+        t = dot(grid.nodes, scene.points[j])
         dmin = float(np.min(delta(t, float(upper[j]), float(scene.p_norms[j]), scene.kappa)))
         c0 = min(c0, dmin)
     if c0 <= 0.0:

@@ -67,3 +67,13 @@ def edge_column(edge_values):
         col[:2] = (0.0, -0.0)
         return col
     return make
+
+
+def pytest_collection_modifyitems(items):
+    """Ignore libcst's import-time DeprecationWarning in every test. When a
+    hypothesis test fails, hypothesis imports libcst to explain the failure;
+    under -W error that warning would end the run in an INTERNALERROR and hide
+    the falsifying example. A filterwarnings mark takes precedence over the
+    command line's -W, where the ini option does not."""
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings(r"ignore::DeprecationWarning:libcst\."))

@@ -69,6 +69,17 @@ def test_radii_matrix_matches_scalar_radius(canonical_scene, b_init, rng):
             assert abs(mat[k, j] - oval_radius(dirs[k], ov)) < 1e-14
 
 
+def test_oval_radius_is_a_column_of_radii_matrix(canonical_scene, b_init, rng):
+    """Both take t = x . P from oval.dot, so each column is bitwise the
+    oval's own radius, in one batch and direction by direction."""
+    dirs = cap_directions(rng, canonical_scene.cap, 500)
+    mat = radii_matrix(canonical_scene, b_init, dirs)
+    for j in range(4):
+        ov = OvalParams(canonical_scene.points[j], float(b_init[j]), canonical_scene.kappa)
+        assert np.array_equal(mat[:, j], oval_radius(dirs, ov))
+        assert all(mat[k, j] == oval_radius(dirs[k], ov) for k in range(0, 500, 7))
+
+
 def test_chunking_covers_range():
     sls = chunk_slices(3 * CHUNK + 17)
     assert len(sls) == 4
@@ -103,16 +114,16 @@ def test_surface_is_argmin_of_radii_matrix(canonical_scene, chunk_span):
 
 
 def test_surface_normals_are_the_owning_ovals(canonical_scene, chunk_span):
-    """Bitwise normals_for_directions of each cell's directions in each chunk,
-    and within 1e-12 of the scalar oval_normal on both sides of the chunk
-    boundary."""
-    dirs, (labels, _, normals) = chunk_span
+    """Bitwise normals_for_directions of each cell's directions and radii in
+    each chunk, and within 1e-12 of the scalar oval_normal on both sides of
+    the chunk boundary."""
+    dirs, (labels, radius, normals) = chunk_span
     expected = np.empty_like(normals)
     for sl in chunk_slices(len(dirs)):
         for j in range(4):
             mask = labels[sl] == j
             expected[sl][mask] = normals_for_directions(
-                dirs[sl][mask], canonical_scene.points[j], B_DESIGN[j], canonical_scene.kappa)
+                dirs[sl][mask], radius[sl][mask], canonical_scene.points[j], canonical_scene.kappa)
     assert np.array_equal(normals, expected)
     for k in [*range(100), *range(CHUNK - 100, CHUNK + 17)]:
         j = int(labels[k])
@@ -135,8 +146,22 @@ def test_surface_tie_takes_the_smaller_index_normal():
     labels, radius, normals = surface(sc, [1.6, 1.6], dirs)
     assert np.all(labels == 0)
     assert np.array_equal(radius, radii[:, 0])
-    assert np.array_equal(normals, normals_for_directions(dirs, p, 1.6, 0.3))
-    assert np.all(normals[:, 1] < 0.0) and np.all(normals_for_directions(dirs, q, 1.6, 0.3)[:, 1] > 0.0)
+    assert np.array_equal(normals, normals_for_directions(dirs, radius, p, 0.3))
+    assert np.all(normals[:, 1] < 0.0) and np.all(normals_for_directions(dirs, radius, q, 0.3)[:, 1] > 0.0)
+
+
+def test_surface_normal_is_independent_of_the_batch(canonical_scene, chunk_span):
+    """Each oval is evaluated once per direction and every operation is per
+    row, so a direction's cell, radius and normal are bitwise the same in a
+    one-direction call as in the chunked batch, on both sides of the chunk
+    boundary."""
+    dirs, (labels, radius, normals) = chunk_span
+    rows = [*range(0, CHUNK - 500, 40), *range(CHUNK - 500, CHUNK + 17)]
+    assert len(rows) >= 2000 and set(labels[rows]) == {0, 1, 2, 3}
+    for k in rows:
+        lab, r, nu = surface(canonical_scene, B_DESIGN, dirs[k:k + 1])
+        assert (lab[0], r[0]) == (labels[k], radius[k])
+        assert np.array_equal(nu[0], normals[k])
 
 
 def test_rho_is_a_row_of_surface(canonical_scene, chunk_span):

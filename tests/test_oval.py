@@ -271,7 +271,7 @@ def test_normal_agrees_with_radial_graph_normal(rng):
 def test_normals_batch_matches_scalar(rng):
     ov = random_oval(rng, kappa_range=(0.2, 0.6))
     x = np.stack([cone_direction(rng, ov, cmin=0.9) for _ in range(40)])
-    batch = normals_for_directions(x, ov.focus, ov.b, ov.kappa)
+    batch = normals_for_directions(x, oval_radius(x, ov), ov.focus, ov.kappa)
     for k in range(40):
         assert np.allclose(batch[k], oval_normal(x[k], ov), atol=1e-14)
 

@@ -68,21 +68,20 @@ def test_trace_ray_rejects_inadmissible_b(canonical_scene):
 
 
 def test_trace_ray_is_a_row_of_surface(canonical_scene, rng):
-    """Label and radius bitwise those of the batch row. The normal may differ
-    by a few 1e-16: normals_for_directions takes x . P as a BLAS
-    matrix-vector product, whose rounding can depend on the row's place in
-    the batch."""
+    """Label, radius, normal and refraction bitwise those of the batch row."""
     b = [1.6, 1.5951188098475972, 1.5951231601142357, 1.6000067538637417]
     n = 400
     dirs = dir_from_spherical(canonical_scene.cap.half_angle * np.sqrt(rng.random(n)),
                               2 * np.pi * rng.random(n), canonical_scene.cap)
     labels, radius, normals = surface(canonical_scene, b, dirs)
+    m, lam = _refract_batch(dirs, normals, canonical_scene.kappa)
     assert set(np.unique(labels)) == {0, 1, 2, 3}
     for k in range(n):
         rec = trace_ray(canonical_scene, b, dirs[k])
         assert (rec.label, rec.radius) == (labels[k], radius[k])
         assert np.array_equal(rec.surface_point, radius[k] * dirs[k])
-        assert np.max(np.abs(rec.normal - normals[k])) <= 1e-15
+        assert np.array_equal(rec.normal, normals[k])
+        assert np.array_equal(rec.refracted, m[k]) and rec.lam == lam[k]
 
 
 # --- batch refraction -------------------------------------------------------------
@@ -103,10 +102,9 @@ def test_refract_batch_matches_scalar(rng):
     for k in range(n):
         res = refract(x[k], nu[k], kappa)
         assert res is not None
-        # near the critical cosine the sqrt amplifies the one-ulp difference
-        # between the batch and scalar dot products
-        assert np.max(np.abs(m[k] - res.m)) < 5e-14
-        assert abs(lam[k] - res.lam) < 5e-14
+        # refract is the one-row case of the same law
+        assert np.array_equal(m[k], res.m)
+        assert lam[k] == res.lam
 
 
 def test_refract_batch_raises_on_tir():
@@ -130,6 +128,36 @@ def test_crease_mask_azimuthal_split():
     expected_clear = {3, 4, 11, 12}
     for row in mask:
         assert {c for c in range(n_phi) if not row[c]} == expected_clear
+
+
+def _crease_mask_by_shifts(labels, n_theta, n_phi, width):
+    """Reference: OR of the (2 width + 1)^2 shifted copies of the label-change
+    map, clamped in theta and wrapped in azimuth."""
+    lab = labels.reshape(n_theta, n_phi)
+    diff = (lab != np.roll(lab, 1, axis=1)) | (lab != np.roll(lab, -1, axis=1))
+    diff[1:, :] |= lab[1:, :] != lab[:-1, :]
+    diff[:-1, :] |= lab[:-1, :] != lab[1:, :]
+    band = np.zeros_like(diff)
+    for dt in range(-width, width + 1):
+        shifted = np.zeros_like(diff)
+        if dt >= 0:
+            shifted[dt:, :] = diff[:max(n_theta - dt, 0), :]
+        else:
+            shifted[:dt, :] = diff[-dt:, :]
+        for dp in range(-width, width + 1):
+            band |= np.roll(shifted, dp, axis=1)
+    return band.reshape(-1)
+
+
+def test_crease_mask_matches_shifted_copies(rng):
+    """Two 1-D dilations equal the 2-D shifted-copy band, also on grids
+    narrower than the band."""
+    for _ in range(300):
+        n_theta, n_phi = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        width = int(rng.integers(0, 4))
+        labels = rng.integers(0, int(rng.integers(1, 4)), n_theta * n_phi) * (rng.random(n_theta * n_phi) < 0.3)
+        assert np.array_equal(crease_mask(labels, n_theta, n_phi, width),
+                              _crease_mask_by_shifts(labels, n_theta, n_phi, width))
 
 
 def test_crease_mask_polar_split_clamps():
