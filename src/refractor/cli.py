@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 residuals above epsilon (solve), 2 scene, parameter
 or output path failure, including a target the flooding limit cannot reach
-(FloorReached) and an oval or normal that cannot be evaluated at some node
-(NonPositiveDiscriminant, DegenerateNormal), 3 quadrature too coarse for the
-requested tolerance, 4 group budget exhausted.
+(FloorReached), an oval or normal that cannot be evaluated at some node
+(NonPositiveDiscriminant, DegenerateNormal) and a grid or mesh too large to
+allocate (MemoryError), 3 quadrature too coarse for the requested tolerance,
+4 group budget exhausted.
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ def main(argv=None) -> int:
     except (SceneValidationError, TotalInternalReflection, OSError, json.JSONDecodeError,
             ValueError, FloorReached, NonPositiveDiscriminant, DegenerateNormal) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory for this grid or mesh size: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except QuantizationTooCoarse as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,14 +6,16 @@ H_i(b) sums the per-node energies f*w over cell i. Summation is sequential in
 node order, so refining b_i monotonically grows H_i bitwise, not just up to
 roundoff.
 
-MeasureOracle serves the solver's many evaluations of H. When a call moves a
-single b_j, a node's cell can change only between j and the lowest of the
-other ovals there, so the oracle evaluates the oval-j radius alone and
-compares it with that held minimum. Every node is still labelled on every
-call and H is the bincount of all labels in node order, so each answer is
-bitwise the one refractor_measure computes. The same held minimum gives each
-node's switch value of b_j, below which it lies in cell j, and from these
-MeasureOracle.crossing finds in closed form where H_j reaches a target value.
+MeasureOracle serves the solver's many evaluations of H. It holds the
+surface on the grid, each node's radius and label, beside one radius row per
+oval. When a call lowers a single b_j, it evaluates the oval-j row alone and
+compares it with the held radius: a node joins cell j where that row lies
+below the radius, and no node leaves cell j. Any other call relabels every
+node from all rows. H is the bincount of all labels in node order, so each
+answer is bitwise the one refractor_measure computes. Outside cell j the
+held radius is the other ovals' minimum, which gives each node's switch value
+of b_j, below which it lies in cell j; from these MeasureOracle.crossing
+finds in closed form where H_j reaches a target value.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import QuadratureGrid, dir_from_spherical
-from .oval import _radius_from_t, dot, normals_for_directions
+from .oval import _radius_from_t, dot, normals_for_directions, radius_terms
 from .parallel import map_chunks
 from .scene import Scene, check_b_vector
 
@@ -53,7 +55,8 @@ def radii_matrix(scene: Scene, b, dirs: np.ndarray) -> np.ndarray:
         x = dirs[sl]
         cols = np.empty((x.shape[0], scene.n_targets))
         for j in range(scene.n_targets):
-            cols[:, j], _ = _radius_from_t(dot(x, pts[j]), float(b[j]), float(p_norms[j]), kappa)
+            terms = radius_terms(dot(x, pts[j]), float(p_norms[j]), kappa)
+            cols[:, j], _ = _radius_from_t(terms, float(b[j]), kappa)
         return cols
 
     return np.concatenate(map_chunks(work, n), axis=0)
@@ -118,15 +121,28 @@ def refractor_measure(scene: Scene, b, grid: QuadratureGrid, f_values) -> Measur
 class MeasureOracle:
     """H(b) for one scene and grid, bitwise what refractor_measure returns.
 
-    The rows t_j = x . P_j and h_j = h(x, P_j, base_j) are kept target-major,
-    so each row is contiguous, and a call recomputes only the rows whose b_j
-    moved. For j, the last of those rows, the oracle holds low and arg, the
-    minimum and first-index argmin of the other rows; it keeps them while the
-    calls move j alone. Node k is in cell j when h_j < low, or h_j == low and
-    j < arg; the tie case is folded into one test h_j < low by taking the next
-    float above low where j < arg, so where(h_j < low, j, arg) labels the
-    nodes with argmin's smallest-index tie rule. H is the bincount of all
-    labels in node order, so the summation order never changes.
+    The oracle holds one radius row h_j = h(x, P_j, base_j) per target, with
+    the b-independent terms of each row, and beside them the surface: per
+    node the radius, the minimum of all rows, and the label, the first row
+    attaining it. A call evaluates only the rows whose b_j moved, then
+    updates the surface in one of two ways:
+
+    - one row j moved and fell (or stayed) at every node: a node of cell j
+      stays in j, and any other node joins j exactly when h_j < radius, or
+      h_j == radius and j is below its label. That tie case is folded into
+      one strict test against the next float above the radius where the
+      label is above j. The call sets those labels to j and takes the
+      minimum of radius and h_j.
+    - any other call (the first, several rows moved, a row rose somewhere)
+      relabels every node by a strict-less chain over all rows, argmin's
+      smallest-index tie rule.
+
+    Every held radius is positive: each row is checked as it is evaluated,
+    and a b_j whose row is not (one at or below kappa |P_j|) is refused with
+    ValueError. So the next float above a radius r is r's bit pattern plus
+    one. H is the bincount of all labels in node order, so the summation
+    order never changes. full_relabels and rows_evaluated count the work
+    done.
     """
 
     def __init__(self, scene: Scene, grid: QuadratureGrid, energies):
@@ -134,15 +150,18 @@ class MeasureOracle:
         self._p_norms = scene.p_norms
         self._kappa = scene.kappa
         self._energies = np.asarray(energies, dtype=float)
-        self._t = np.empty((scene.n_targets, grid.n_nodes))
-        for j in range(scene.n_targets):
-            self._t[j] = dot(grid.nodes, scene.points[j])
-        self._radii = np.empty_like(self._t)
-        self._base = np.full(scene.n_targets, np.nan)  # b_j of radius row j; NaN = stale
-        self._labels = None
-        self._others = None  # (j, low, arg) of the rows other than j
-        self._b = None       # b of the last completed call, with its H
+        self._terms = [radius_terms(dot(grid.nodes, scene.points[j]), float(scene.p_norms[j]),
+                                    scene.kappa) for j in range(scene.n_targets)]
+        n = grid.n_nodes
+        self._rows = [np.empty(n) for _ in range(scene.n_targets)]
+        self._spare = np.empty(n)  # where the next row is evaluated
+        self._base = np.full(scene.n_targets, np.nan)  # b_j of row j; NaN = stale
+        self._radius = np.empty(n)
+        self._labels = np.empty(n, dtype=np.intp)
+        self._b = None   # b of the last completed call, with its H and surface
         self._H = None
+        self.full_relabels = 0
+        self.rows_evaluated = 0
 
     def __call__(self, b) -> np.ndarray:
         return self._measure(b).copy()
@@ -158,14 +177,16 @@ class MeasureOracle:
 
         Node k is in cell j exactly when b_j lies below its switch value
         s_k = r_k + kappa |r_k x_k - P_j|, the oval's defining identity at
-        X = r_k x_k, where r_k is the other ovals' minimum radius there. So
-        H_j is a step function of b_j, and its steps are the energies of the
-        nodes outside cell j taken in descending s. The answer lies in the
-        middle of the gap between the switch value where their energy first
-        reaches f_j - H_j(b) and the next smaller distinct one; equal switch
-        values make one step. Returns None when the nodes outside cell j hold
-        too little energy or no smaller switch value is left. The caller
-        checks the answer with a call of the oracle.
+        X = r_k x_k, where r_k is the other ovals' minimum radius there: for a
+        node outside cell j, the surface radius itself, taken to the next
+        float above where its label is above j. So H_j is a step function of
+        b_j, and its steps are the energies of the nodes outside cell j taken
+        in descending s. The answer lies in the middle of the gap between the
+        switch value where their energy first reaches f_j - H_j(b) and the
+        next smaller distinct one; equal switch values make one step.
+        Returns None when the nodes outside cell j hold too little energy or
+        no smaller switch value is left. The caller checks the answer with a
+        call of the oracle.
 
         The oracle sums H_j in node order and this method in switch order;
         the two sums differ by less than n ulps of f_j, so the energy must
@@ -173,14 +194,14 @@ class MeasureOracle:
         """
         n = self._energies.size
         need = f_j - self._measure(b)[j] + n * np.finfo(float).eps * abs(f_j)
-        low, _ = self._others_of(j)
         out = np.flatnonzero(self._labels != j)
         e = self._energies[out]
         e_sum = e.sum()
         if not 0.0 < need <= e_sum:
             return None
-        r = low[out]
-        s = r + self._kappa * np.sqrt(r * r - 2.0 * r * self._t[j, out] + self._p_norms[j] ** 2)
+        r = _fold(self._radius[out], self._labels[out] > j)
+        t = self._terms[j][0][out]
+        s = r + self._kappa * np.sqrt(r * r - 2.0 * r * t + self._p_norms[j] ** 2)
         # the crossing lies among the largest switch values; widen until it does
         n_out = out.size
         k = min(n_out, int(2.0 * n_out * need / e_sum) + 16)
@@ -199,44 +220,62 @@ class MeasureOracle:
 
     def _measure(self, b) -> np.ndarray:
         b = np.array(b, dtype=float)
-        if self._b is not None and np.array_equal(b, self._b):
+        held = self._b
+        if held is not None and np.array_equal(b, held):
             return self._H
         self._b = None
         changed = np.flatnonzero(b != self._base)
-        if changed.size:
-            if changed.size > 1:
-                self._others = None
-            self._set_rows(b, changed)
-            j = int(changed[-1])
-            low, arg = self._others_of(j)
-            self._labels = np.where(self._radii[j] < low, j, arg)
+        if held is not None and changed.size == 1:
+            j = int(changed[0])
+            old = self._set_row(b, j)
+            if np.all(self._rows[j] <= old):
+                self._lower(j)
+            else:
+                self._relabel()
+        else:
+            for j in changed:
+                self._set_row(b, j)
+            self._relabel()
         self._H = np.bincount(self._labels, weights=self._energies, minlength=self._n_targets)
         self._b = b
         return self._H
 
-    def _others_of(self, j: int):
-        """low and arg of the rows other than j, with the tie fold for j: per
-        node, their minimum and the first row attaining it, by a strict-less
-        chain in row order, as argmin breaks ties."""
-        if self._others is None or self._others[0] != j:
-            low = np.full(self._radii.shape[1], np.inf)
-            arg = np.zeros(self._radii.shape[1], dtype=np.intp)
-            for i in range(self._n_targets):
-                if i != j:
-                    less = self._radii[i] < low
-                    np.copyto(arg, i, where=less)
-                    np.copyto(low, self._radii[i], where=less)
-            np.nextafter(low, np.inf, out=low, where=arg > j)
-            self._others = (j, low, arg)
-        return self._others[1:]
-
-    def _set_rows(self, b, rows) -> None:
-        for j in rows:
-            self._base[j] = np.nan
-            self._radii[j], _ = _radius_from_t(
-                self._t[j], float(b[j]), float(self._p_norms[j]), self._kappa
+    def _set_row(self, b, j: int) -> np.ndarray:
+        """Evaluate row j at b[j]; returns the row it replaces."""
+        self._base[j] = np.nan
+        h, _ = _radius_from_t(self._terms[j], float(b[j]), self._kappa, out=self._spare)
+        if not h.min() > 0.0:
+            raise ValueError(
+                f"oval {j + 1} radius is not positive at every node for b = {float(b[j])!r}; "
+                f"b must exceed kappa |P| = {float(self._kappa * self._p_norms[j])!r}"
             )
-            self._base[j] = b[j]
+        self._spare, self._rows[j] = self._rows[j], h
+        self._base[j] = b[j]
+        self.rows_evaluated += 1
+        return self._spare
+
+    def _lower(self, j: int) -> None:
+        """Update the surface for row j, which fell or stayed at every node."""
+        h = self._rows[j]
+        np.copyto(self._labels, j, where=h < _fold(self._radius, self._labels > j))
+        np.minimum(self._radius, h, out=self._radius)
+
+    def _relabel(self) -> None:
+        """Radius and label of every node from all rows: a strict-less chain in
+        row order, as argmin breaks ties."""
+        radius, labels = self._radius, self._labels
+        np.copyto(radius, self._rows[0])
+        labels.fill(0)
+        for i in range(1, self._n_targets):
+            np.copyto(labels, i, where=self._rows[i] < radius)
+            np.minimum(radius, self._rows[i], out=radius)
+        self.full_relabels += 1
+
+
+def _fold(r, up):
+    """r, with each entry where up is true taken to the next float above: for
+    positive finite r the next float is the bit pattern plus one."""
+    return (r.view(np.int64) + up).view(np.float64)
 
 
 def flood_vector(scene: Scene, b, i: int) -> np.ndarray:

@@ -50,6 +50,24 @@ class OvalParams:
         return float(np.linalg.norm(self.focus))
 
 
+def radius_terms(t, p_norm, kappa):
+    """The terms of the radius at t = x . P that do not depend on b: t itself
+    and c = (1 - kappa^2)(p_norm^2 - t^2). A caller evaluating one set of
+    directions at many b computes them once."""
+    t = np.asarray(t, dtype=float)
+    k2 = kappa * kappa
+    return t, (1.0 - k2) * (p_norm * p_norm - t * t)
+
+
+def _delta_from_terms(terms, b, kappa):
+    t, c = terms
+    d = b - t
+    d **= 2
+    d += c
+    d *= kappa * kappa
+    return d
+
+
 def delta(t, b, p_norm, kappa):
     """Discriminant of the oval quadratic at t = x . P.
 
@@ -57,9 +75,7 @@ def delta(t, b, p_norm, kappa):
     manifestly positive for |t| < p_norm once b stays below p_norm; it equals
     the textbook form (b - kappa^2 t)^2 - (1 - kappa^2)(b^2 - kappa^2 p_norm^2).
     """
-    t = np.asarray(t, dtype=float)
-    k2 = kappa * kappa
-    return k2 * ((b - t) ** 2 + (1.0 - k2) * (p_norm * p_norm - t * t))
+    return _delta_from_terms(radius_terms(t, p_norm, kappa), b, kappa)
 
 
 def dot(x, p):
@@ -70,28 +86,37 @@ def dot(x, p):
     return x[..., 0] * p[0] + x[..., 1] * p[1] + x[..., 2] * p[2]
 
 
-def _radius_from_t(t, b, p_norm, kappa):
-    """Radius and discriminant from precomputed t = x . P (array friendly)."""
-    d = delta(t, b, p_norm, kappa)
+def _radius_from_t(terms, b, kappa, out=None):
+    """Radius h and discriminant d at parameter b from radius_terms of
+    t = x . P (array friendly); h is written to out when it is given. The one
+    evaluation of the radius formula."""
+    d = _delta_from_terms(terms, b, kappa)
     if np.any(d <= 0.0):
         raise NonPositiveDiscriminant(
             f"delta <= 0 encountered (min {np.min(d):.3e}); "
             "direction outside the oval's reach"
         )
     k2 = kappa * kappa
-    h = ((b - k2 * np.asarray(t)) - np.sqrt(d)) / (1.0 - k2)
-    return h, d
+    h = np.multiply(k2, terms[0], out=out)
+    h = np.subtract(b, h, out=out)
+    h = np.subtract(h, np.sqrt(d), out=out)
+    return np.divide(h, 1.0 - k2, out=out), d
+
+
+def _radius_at(x, oval: OvalParams):
+    t = dot(x, oval.focus)
+    return t, _radius_from_t(radius_terms(t, oval.p_norm, oval.kappa), oval.b, oval.kappa)
 
 
 def oval_radius(x, oval: OvalParams):
     """Polar radius h(x) of the oval; x may be (..., 3)."""
-    h, _ = _radius_from_t(dot(x, oval.focus), oval.b, oval.p_norm, oval.kappa)
+    _, (h, _) = _radius_at(x, oval)
     return h if np.ndim(h) else float(h)
 
 
 def oval_gradient(x, oval: OvalParams):
     """Gradient of the radial extension h(x . P) in x: (kappa^2 h / sqrt(delta)) P."""
-    h, d = _radius_from_t(dot(x, oval.focus), oval.b, oval.p_norm, oval.kappa)
+    _, (h, d) = _radius_at(x, oval)
     k2 = oval.kappa ** 2
     return np.multiply.outer(k2 * h / np.sqrt(d), oval.focus)
 
@@ -102,8 +127,7 @@ def oval_db(x, oval: OvalParams):
     Equals 1/(1-kappa^2) + kappa^2 (t - b) / ((1-kappa^2) sqrt(delta)); for
     t = x . P >= b the value lies in [1/(1-kappa^2), 1/(1-kappa)].
     """
-    t = dot(x, oval.focus)
-    _, d = _radius_from_t(t, oval.b, oval.p_norm, oval.kappa)
+    t, (_, d) = _radius_at(x, oval)
     k2 = oval.kappa ** 2
     out = 1.0 / (1.0 - k2) + k2 * (t - oval.b) / ((1.0 - k2) * np.sqrt(d))
     return out if np.ndim(out) else float(out)

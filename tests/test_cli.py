@@ -495,7 +495,7 @@ def _run(argv):
 
 @settings(max_examples=200, deadline=None)
 @given(d=scene_dicts(), command=st.sampled_from(["validate", "solve", "trace", "mesh"]),
-       fault=st.sampled_from(["none", "non-finite", "extreme", "missing-dir"]),
+       fault=st.sampled_from(["none", "non-finite", "extreme", "missing-dir", "huge"]),
        size=st.integers(8, 32), eps_rel=st.floats(0.02, 0.3), data=st.data())
 def test_cli_exit_code_contract(tmp_path_factory, d, command, fault, size, eps_rel, data):
     work = tmp_path_factory.mktemp("contract")
@@ -520,7 +520,8 @@ def test_cli_exit_code_contract(tmp_path_factory, d, command, fault, size, eps_r
     scene = work / "scene.json"
     scene.write_text(json.dumps(d))
     outdir = work / "missing" if fault == "missing-dir" else work
-    grid_arg = f"{size}x{size}"
+    # a terabyte grid or mesh: its first large array fails to allocate at once
+    grid_arg = "1000000x1000000" if fault == "huge" else f"{size}x{size}"
     argv = {
         "validate": ["validate", str(scene), "--grid", grid_arg, "--json", str(outdir / "v.json")],
         "solve": ["solve", str(scene), "--grid", grid_arg, "--epsilon", repr(eps_rel * total),
@@ -528,7 +529,8 @@ def test_cli_exit_code_contract(tmp_path_factory, d, command, fault, size, eps_r
                   "--labels", str(outdir / "labels.csv")],
         "trace": ["trace", str(scene), "--b-file", str(b_file), "--grid", grid_arg,
                   "--out", str(outdir / "transport.json"), "--rays", str(outdir / "rays.csv")],
-        "mesh": ["mesh", str(scene), "--b-file", str(b_file), "--resolution", "4x6",
+        "mesh": ["mesh", str(scene), "--b-file", str(b_file),
+                 "--resolution", "1000000x1000000" if fault == "huge" else "4x6",
                  "--out", str(outdir / "surface.obj")],
     }[command]
 

@@ -15,6 +15,7 @@ from refractor.measure import (
     ROWS_PER_WRITE,
     MeasureOracle,
     SurfaceMesh,
+    _fold,
     assign_cells,
     export_mesh,
     flood_vector,
@@ -30,6 +31,7 @@ from refractor.measure import (
 from refractor.oval import (
     NonPositiveDiscriminant,
     OvalParams,
+    dot,
     normals_for_directions,
     oval_extrema,
     oval_normal,
@@ -40,8 +42,12 @@ from refractor.scene import (
     IntensitySpec,
     Scene,
     TargetPoint,
+    admissible_bounds,
+    alpha_bound,
     initial_admissible_vector,
+    target_weights,
 )
+from refractor.solver import MonotoneOracleSpec, SolverConfig, solve
 from refractor.parallel import CHUNK, chunk_slices
 
 
@@ -447,6 +453,137 @@ def test_oracle_raises_nonpositive_discriminant(canonical_scene, grid64):
     ok = b.copy()
     ok[1] = 2.2
     assert np.array_equal(oracle(ok), fresh(ok))
+
+
+def _reference_crossing(scene, grid, energies, b, j, f_j):
+    """MeasureOracle.crossing rebuilt from radii_matrix alone: per node outside
+    cell j, the argmin over the other columns and its minimum, taken to the
+    next float above (np.nextafter) where that argmin is above j; the switch
+    values sorted in full, descending, and the same landing rule."""
+    radii = radii_matrix(scene, b, grid.nodes)
+    labels = np.argmin(radii, axis=1)
+    H_j = np.bincount(labels, weights=energies, minlength=scene.n_targets)[j]
+    need = f_j - H_j + energies.size * np.finfo(float).eps * abs(f_j)
+    out = np.flatnonzero(labels != j)
+    e = energies[out]
+    if not 0.0 < need <= e.sum():
+        return None
+    others = np.delete(radii[out], j, axis=1)
+    arg = np.argmin(others, axis=1)
+    low = others[np.arange(out.size), arg]
+    arg += arg >= j
+    low = np.where(arg > j, np.nextafter(low, np.inf), low)
+    t = dot(grid.nodes[out], scene.points[j])
+    s = low + scene.kappa * np.sqrt(low * low - 2.0 * low * t + scene.p_norms[j] ** 2)
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
+    m = int(np.searchsorted(np.cumsum(e[order]), need))
+    below = np.flatnonzero(s[m + 1:] < s[m]) if m < out.size else []
+    if not len(below):
+        return None
+    return 0.5 * (float(s[m]) + float(s[m + 1 + below[0]]))
+
+
+def _check_crossings(oracle, scene, grid, f_values, b, g):
+    """Every coordinate's crossing at b, for the targets g and for a target a
+    little and a lot above H_j, is bitwise the reference's."""
+    energies = node_energies(grid, f_values)
+    H = refractor_measure(scene, b, grid, f_values).H
+    out_energy = energies.sum() - H
+    for j in range(scene.n_targets):
+        for f_j in (g[j], H[j] + 1e-3 * out_energy[j], H[j] + 0.5 * out_energy[j]):
+            got = oracle.crossing(b, j, float(f_j))
+            assert got == _reference_crossing(scene, grid, energies, b, j, float(f_j)), (b, j, f_j)
+
+
+def test_crossing_matches_reference_on_tie_scene(tie_case):
+    """Targets 2 and 3 coincide: with b_2 == b_3 every node of oval 2 ties,
+    and the fold decides which cell each switch value belongs to. The
+    states are reached by lowering one coordinate onto the other's value,
+    raising it again and nudging b_3 by a few ulps."""
+    scene, grid = tie_case
+    f = np.ones(grid.n_nodes)
+    oracle = MeasureOracle(scene, grid, node_energies(grid, f))
+    g = np.full(3, total_energy(grid, f) / 3.0)
+    b = np.array([1.6, 1.5958, 1.5955])
+    for k, bj in ((0, 1.6), (1, 1.5955), (2, 1.5951), (1, 1.5951), (2, 1.5955), (1, 1.5958)):
+        b[k] = bj
+        for ulps in (0, 3, -1, 0):
+            probe = b.copy()
+            probe[2] = b[2] + ulps * np.spacing(b[2])
+            oracle(probe)
+            _check_crossings(oracle, scene, grid, f, probe, g)
+
+
+def test_oracle_lowers_a_row_onto_a_tie(tie_case):
+    """Lowering b_2 onto b_3 (equal ovals) moves every node of cell 3 to
+    cell 2 by the smallest-index rule, on the one-row path."""
+    scene, grid = tie_case
+    f = np.ones(grid.n_nodes)
+    oracle = MeasureOracle(scene, grid, node_energies(grid, f))
+    b = np.array([1.6, 1.5958, 1.5955])
+    assert np.any(oracle.labels(b) == 2)
+    b[1] = 1.5955
+    labels = oracle.labels(b)
+    assert oracle.full_relabels == 1 and oracle.rows_evaluated == 4
+    assert 2 not in labels and np.array_equal(labels, assign_cells(scene, b, grid))
+    assert np.array_equal(oracle(b), refractor_measure(scene, b, grid, f).H)
+
+
+def test_crossing_matches_reference_along_a_descent(canonical_scene, grid64):
+    """The crossing -> check -> next coordinate sequence of a whole canonical
+    64x64 descent, each crossing compared with the reference at its b; then
+    states one and a few ulps from the final b."""
+    scene, grid = canonical_scene, grid64
+    f_values = scene.intensity.values(grid)
+    energies = node_energies(grid, f_values)
+    g = target_weights(scene, grid, f_values)
+    oracle = MeasureOracle(scene, grid, energies)
+    seen = []
+
+    def crossing(b, j, f_j):
+        got = oracle.crossing(b, j, f_j)
+        assert got == _reference_crossing(scene, grid, energies, b, j, f_j), (b, j)
+        seen.append(got)
+        return got
+
+    lower, upper = admissible_bounds(scene)
+    spec = MonotoneOracleSpec(evaluate=oracle, lower=lower, upper=upper,
+                              limits=np.full(scene.n_targets, energies.sum()))
+    config = SolverConfig(epsilon=2e-2 * energies.sum())
+    b, trace = solve(spec, g, initial_admissible_vector(scene), config,
+                     floors=lower + alpha_bound(scene), crossing=crossing)
+    assert trace.converged and len(seen) >= 6 and None not in seen
+    for j, ulps in ((1, 1), (2, -1), (3, 3), (1, -2)):
+        b = b.copy()
+        b[j] += ulps * np.spacing(b[j])
+        oracle(b)
+        _check_crossings(oracle, scene, grid, f_values, b, g)
+
+
+def test_oracle_refuses_a_nonpositive_radius(canonical_scene, grid64):
+    """The fold takes a radius to the next float through its bit pattern,
+    which holds for positive radii only, so the oracle refuses any b_j whose
+    row is not positive (b_j below kappa |P_j|) and answers again, bitwise,
+    once b is back."""
+    f = canonical_scene.intensity.values(grid64)
+    oracle = MeasureOracle(canonical_scene, grid64, node_energies(grid64, f))
+    b = initial_admissible_vector(canonical_scene)
+    oracle(b)
+    bad = b.copy()
+    bad[2] = 0.9 * canonical_scene.kappa * canonical_scene.p_norms[2]
+    assert np.min(radii_matrix(canonical_scene, bad, grid64.nodes)[:, 2]) < 0.0
+    with pytest.raises(ValueError, match="not positive"):
+        oracle(bad)
+    assert np.array_equal(oracle(b), refractor_measure(canonical_scene, b, grid64, f).H)
+
+
+@given(st.floats(min_value=0.0, max_value=float(np.nextafter(np.finfo(float).max, 0.0)),
+                 exclude_min=True))
+def test_fold_is_next_float_for_positive_values(r):
+    r = np.array([r, r])
+    got = _fold(r, np.array([True, False]))
+    assert got[0] == np.nextafter(r[0], np.inf) and got[1] == r[1]
 
 
 # --- writers against line-by-line references --------------------------------------

@@ -375,6 +375,39 @@ def test_solve_refractor_oracle_replay_bitwise(scene_name, eps_rel, canonical_sc
         assert np.array_equal(H, refractor_measure(scene, b, grid, f_values).H), b
 
 
+def test_solve_refractor_relabels_every_node_once(canonical_scene, grid64, monkeypatch):
+    """A canonical 64x64 solve whose every changed step lands at its closed
+    form (no bisection) relabels every node once, at the first call; after
+    that each changed step evaluates one radius row. A call that raises a
+    coordinate, or moves two, relabels every node again."""
+    oracles = []
+
+    class Recording(MeasureOracle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            oracles.append(self)
+
+    monkeypatch.setattr(solver_module, "MeasureOracle", Recording)
+    f_values = canonical_scene.intensity.values(grid64)
+    sol = solve_refractor(canonical_scene, grid64,
+                          SolverConfig(epsilon=2e-2 * total_energy(grid64, f_values)))
+    changed = [s for s in sol.trace.steps if s.changed]
+    assert changed and all(s.oracle_evals == 2 for s in changed)
+    (oracle,) = oracles
+    assert oracle.full_relabels == 1
+    assert oracle.rows_evaluated == canonical_scene.n_targets + len(changed)
+
+    b = sol.b.copy()
+    for k, step, full in ((1, -1e-4, 1), (1, 1e-5, 2), (2, 2e-5, 3), (3, -1e-5, 3)):
+        b[k] += step
+        oracle(b)
+        assert oracle.full_relabels == full, (k, step)
+    b[1:3] -= 1e-5
+    H = oracle(b)
+    assert oracle.full_relabels == 4
+    assert np.array_equal(H, refractor_measure(canonical_scene, b, grid64, f_values).H)
+
+
 def test_solve_refractor_default_epsilon_needs_fine_grid(canonical_scene, grid64):
     # at 64^2 the largest node energy exceeds delta/4 for the default epsilon
     with pytest.raises(QuantizationTooCoarse):
