@@ -54,7 +54,6 @@ from .solver import (
     MonotoneOracleSpec,
     QuantizationTooCoarse,
     RefractorSolution,
-    SolverConfig,
     SolverTrace,
     adjust_coordinate,
     estimate_lipschitz,

@@ -22,13 +22,13 @@ import numpy as np
 from .geometry import build_quadrature
 from .measure import export_mesh, write_json, write_label_csv, write_obj
 from .oval import DegenerateNormal, NonPositiveDiscriminant
-from .raytrace import TotalInternalReflection, validate_transport, write_ray_csv, write_report_json
+from .raytrace import TotalInternalReflection, validate_transport, write_ray_csv
 from .scene import SceneValidationError, load_scene, validation_report
 from .solver import (
+    MAX_GROUPS,
     FloorReached,
     MaxGroupsExceeded,
     QuantizationTooCoarse,
-    SolverConfig,
     solve_refractor,
     write_convergence_csv,
 )
@@ -113,15 +113,11 @@ def run_validate(args) -> int:
 def run_solve(args) -> int:
     scene = load_scene(args.scene)
     grid = build_quadrature(scene.cap, *args.grid)
-    config = SolverConfig(epsilon=args.epsilon, max_groups=args.max_groups)
     t0 = time.perf_counter()
-    sol = solve_refractor(scene, grid, config)
+    sol = solve_refractor(scene, grid, epsilon=args.epsilon, max_groups=args.max_groups)
     wall = time.perf_counter() - t0
 
     trace = sol.trace
-    bound_ok = (
-        None if trace.group_bound is None else bool(trace.groups_used <= trace.group_bound)
-    )
     result = {
         "scene": str(args.scene),
         "grid": [grid.n_theta, grid.n_phi],
@@ -138,7 +134,6 @@ def run_solve(args) -> int:
         "lipschitz_estimate": trace.lipschitz_estimate,
         "group_bound": trace.group_bound,
         "bound_supported": sol.bound_supported,
-        "bound_ok": bound_ok,
         "converged": bool(trace.converged),
         "wall_time": wall,
     }
@@ -151,11 +146,6 @@ def run_solve(args) -> int:
     ok = bool(np.all(sol.residuals <= sol.epsilon))
     print(f"groups = {trace.groups_used}, oracle evals = {trace.total_evals}, wall = {wall:.2f}s")
     print(f"max residual = {result['max_residual']:.3e} (epsilon = {sol.epsilon:.3e})")
-    if bound_ok is False:
-        print(
-            f"warning: groups_used {trace.groups_used} exceeds bound {trace.group_bound:.1f}",
-            file=sys.stderr,
-        )
     print("status: " + ("converged" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -169,7 +159,7 @@ def run_trace(args) -> int:
     print(f"fraction within tol = {report.fraction_within:.6f}, max relative miss = {report.max_rel_miss:.3e}")
     print(f"ray energy matches measure: {report.all_match}")
     if args.out:
-        write_report_json(report, args.out)
+        write_json(report.to_dict(), args.out)
     if args.rays:
         write_ray_csv(report, grid, args.rays)
     return EXIT_OK
@@ -203,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None,
                    help="absolute energy tolerance (default 1e-3 * total)")
     p.add_argument("--grid", type=_parse_dims, default=(256, 256))
-    p.add_argument("--max-groups", type=int, default=10000)
+    p.add_argument("--max-groups", type=int, default=MAX_GROUPS)
     p.add_argument("--out", default="result.json")
     p.add_argument("--log", default="trace.csv", help="convergence CSV ('' disables)")
     p.add_argument("--labels", default=None, help="per-node label CSV")

@@ -42,24 +42,15 @@ class MeasureVector:
 def radii_matrix(scene: Scene, b, dirs: np.ndarray) -> np.ndarray:
     """Oval radii h(x, P_j, b_j) for unit directions dirs (n, 3) -> (n, N).
 
-    t = x . P_j comes from oval.dot, so chunked and unchunked evaluation agree
-    bitwise.
+    t = x . P_j comes from oval.dot, so a direction's radii are bitwise the
+    same in any batch.
     """
     b = np.asarray(b, dtype=float)
-    pts = scene.points
-    p_norms = scene.p_norms
-    kappa = scene.kappa
-    n = dirs.shape[0]
-
-    def work(sl):
-        x = dirs[sl]
-        cols = np.empty((x.shape[0], scene.n_targets))
-        for j in range(scene.n_targets):
-            terms = radius_terms(dot(x, pts[j]), float(p_norms[j]), kappa)
-            cols[:, j], _ = _radius_from_t(terms, float(b[j]), kappa)
-        return cols
-
-    return np.concatenate(map_chunks(work, n), axis=0)
+    cols = np.empty((dirs.shape[0], scene.n_targets))
+    for j in range(scene.n_targets):
+        terms = radius_terms(dot(dirs, scene.points[j]), float(scene.p_norms[j]), scene.kappa)
+        cols[:, j], _ = _radius_from_t(terms, float(b[j]), scene.kappa)
+    return cols
 
 
 def surface(scene: Scene, b, dirs: np.ndarray):

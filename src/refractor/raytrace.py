@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import QuadratureGrid
-from .measure import distinct_strings, node_energies, surface, write_json, write_rows
+from .measure import distinct_strings, node_energies, surface, write_rows
 from .measure import radii_matrix  # noqa: F401  benchmark/tracing.py wraps raytrace.radii_matrix
 from .parallel import map_chunks  # noqa: F401  benchmark/tracing.py wraps raytrace.map_chunks
 from .scene import Scene
@@ -51,7 +51,6 @@ class TransportReport:
     all_match: bool
     # per-node arrays for CSV dumps / further analysis
     labels: np.ndarray = field(repr=False, default=None)
-    miss: np.ndarray = field(repr=False, default=None)
     rel_miss: np.ndarray = field(repr=False, default=None)
     within: np.ndarray = field(repr=False, default=None)
     crease: np.ndarray = field(repr=False, default=None)
@@ -142,9 +141,8 @@ def validate_transport(scene: Scene, b, grid: QuadratureGrid, tol_rel: float = 1
     for j in range(scene.n_targets):
         dists[:, j] = _line_point_distance(X, m, scene.points[j])
     nearest = np.argmin(dists, axis=1)
-    miss_named = dists[np.arange(n), labels]
     miss_nearest = dists[np.arange(n), nearest]
-    rel_named = miss_named / scene.p_norms[labels]
+    rel_named = dists[np.arange(n), labels] / scene.p_norms[labels]
 
     crease = crease_mask(labels, grid.n_theta, grid.n_phi)
     keep = ~crease
@@ -178,13 +176,9 @@ def validate_transport(scene: Scene, b, grid: QuadratureGrid, tol_rel: float = 1
         total_assigned=float(sum(t["assigned_energy"] for t in per_target)),
         total_ray=float(sum(t["ray_energy"] for t in per_target)),
         all_match=bool(all_match),
-        labels=labels, miss=miss_named, rel_miss=rel_named,
+        labels=labels, rel_miss=rel_named,
         within=within, crease=crease,
     )
-
-
-def write_report_json(report: TransportReport, path) -> None:
-    write_json(report.to_dict(), path)
 
 
 def write_ray_csv(report: TransportReport, grid: QuadratureGrid, path) -> None:

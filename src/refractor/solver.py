@@ -20,7 +20,7 @@ The first coordinate is never adjusted; it anchors the family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,20 +64,13 @@ class MonotoneOracleSpec:
 
 
 BRACKET_TOL = 1e-9   # bisection stops once its bracket is narrower than this
-
-
-@dataclass
-class SolverConfig:
-    epsilon: Optional[float] = None      # absolute; None = 1e-3 * total at bind time
-    delta: Optional[float] = None        # default epsilon / N
-    max_groups: int = 10000
+MAX_GROUPS = 10000   # group budget of a solve
 
 
 @dataclass
 class StepRecord:
     group: int
-    position: int          # 1-based slot within the group
-    coordinate: int        # 0-based adjusted coordinate
+    coordinate: int        # 0-based adjusted coordinate j >= 1: the j-th step of its group
     b_old: float
     b_new: float
     g_before: float
@@ -88,10 +81,6 @@ class StepRecord:
 
 @dataclass
 class SolverTrace:
-    b_start: np.ndarray
-    floors: np.ndarray
-    f: np.ndarray
-    delta: float
     steps: list = field(default_factory=list)
     b_final: Optional[np.ndarray] = None
     g_final: Optional[np.ndarray] = None
@@ -181,21 +170,19 @@ def adjust_coordinate(oracle, j, b, f_j, delta, floor_j, bracket_tol=BRACKET_TOL
     return moved(lo), g_before, g_lo, calls, True
 
 
-def solve(spec: MonotoneOracleSpec, f, b_start, config: SolverConfig, floors=None,
-          crossing=None):
+def solve(spec: MonotoneOracleSpec, f, b_start, delta: float, floors=None, crossing=None,
+          max_groups: int = MAX_GROUPS):
     """Run grouped coordinate adjustments until a group changes nothing.
 
-    crossing, if given, proposes each adjusted coordinate (adjust_coordinate).
-    Returns (b_final, SolverTrace). Raises MaxGroupsExceeded when the group
-    budget runs out; QuantizationTooCoarse / FloorReached propagate from the
+    delta is the half-width of each coordinate's test band; crossing, if
+    given, proposes each adjusted coordinate (adjust_coordinate). Returns
+    (b_final, SolverTrace). Raises MaxGroupsExceeded when the group budget
+    runs out; QuantizationTooCoarse / FloorReached propagate from the
     per-coordinate adjustment.
     """
     f = np.asarray(f, dtype=float)
     b = np.array(b_start, dtype=float)
     n = b.size
-    if config.epsilon is None and config.delta is None:
-        raise ValueError("SolverConfig needs epsilon or delta")
-    delta = config.delta if config.delta is not None else config.epsilon / n
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     floors = np.asarray(floors if floors is not None else spec.lower, dtype=float)
@@ -203,7 +190,7 @@ def solve(spec: MonotoneOracleSpec, f, b_start, config: SolverConfig, floors=Non
         raise ValueError("floors exceed the starting vector")
 
     oracle = _CountingOracle(spec.evaluate)
-    trace = SolverTrace(b_start=b.copy(), floors=floors.copy(), f=f.copy(), delta=delta)
+    trace = SolverTrace()
 
     g0 = oracle(b)
     for j in range(1, n):
@@ -212,14 +199,14 @@ def solve(spec: MonotoneOracleSpec, f, b_start, config: SolverConfig, floors=Non
                 f"start vector outside membership set: G[{j}] = {float(g0[j])!r} > f + delta"
             )
 
-    for group in range(1, config.max_groups + 1):
+    for group in range(1, max_groups + 1):
         changed_any = False
-        for pos, j in enumerate(range(1, n), start=1):
+        for j in range(1, n):
             b_new, g_before, g_after, evals, changed = adjust_coordinate(
                 oracle, j, b, float(f[j]), delta, float(floors[j]), crossing=crossing,
             )
             trace.steps.append(StepRecord(
-                group=group, position=pos, coordinate=j,
+                group=group, coordinate=j,
                 b_old=float(b[j]), b_new=float(b_new[j]),
                 g_before=g_before, g_after=g_after,
                 oracle_evals=evals, changed=changed,
@@ -235,7 +222,7 @@ def solve(spec: MonotoneOracleSpec, f, b_start, config: SolverConfig, floors=Non
         trace.b_final = b.copy()
         trace.total_evals = oracle.calls
         raise MaxGroupsExceeded(
-            f"no quiet group within {config.max_groups} groups", trace=trace
+            f"no quiet group within {max_groups} groups", trace=trace
         )
 
     trace.g_final = oracle(b)
@@ -287,23 +274,25 @@ class RefractorSolution:
     bound_supported: bool
 
 
-def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -> RefractorSolution:
+def solve_refractor(scene: Scene, grid, epsilon: Optional[float] = None,
+                    max_groups: int = MAX_GROUPS) -> RefractorSolution:
     """Design the parameter vector matching the scene's target energies.
 
-    Binds the abstract solver to the refractor measure: floors at
-    kappa|P_i| + alpha, start from the all-into-cell-1 vector, flooding limits
-    equal to the total source energy, and each step proposed by the oracle's
-    closed-form crossing.
+    Binds the abstract solver to the refractor measure: the absolute
+    tolerance epsilon (default 1e-3 times the total source energy) gives the
+    band delta = epsilon / N, floors at kappa|P_i| + alpha, start from the
+    all-into-cell-1 vector, flooding limits equal to the total source energy,
+    and each step proposed by the oracle's closed-form crossing.
     """
-    config = config or SolverConfig()
     f_values = scene.intensity.values(grid)
     energies = node_energies(grid, f_values)
     total = total_energy(grid, f_values)
     g = target_weights(scene, grid, f_values)
     n = scene.n_targets
 
-    epsilon = config.epsilon if config.epsilon is not None else 1e-3 * total
-    delta = config.delta if config.delta is not None else epsilon / n
+    if epsilon is None:
+        epsilon = 1e-3 * total
+    delta = epsilon / n
     if n > 1 and not (delta < g[0] / (n - 1)):
         raise ValueError(
             f"delta = {delta!r} must stay below g_1/(N-1) = {float(g[0]) / (n - 1)!r}; "
@@ -325,8 +314,8 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
     spec = MonotoneOracleSpec(
         evaluate=oracle, lower=lower, upper=upper, limits=np.full(n, total)
     )
-    b_final, trace = solve(spec, g, b_start, replace(config, delta=delta), floors=floors,
-                           crossing=oracle.crossing)
+    b_final, trace = solve(spec, g, b_start, delta, floors=floors, crossing=oracle.crossing,
+                           max_groups=max_groups)
     # the rate M^ is the steepest secant the descent itself met: every changed
     # step raised G_j by more than delta, so 2 M^/delta times the room in b
     # bounds the groups
@@ -351,12 +340,15 @@ def solve_refractor(scene: Scene, grid, config: Optional[SolverConfig] = None) -
 
 
 def write_convergence_csv(trace: SolverTrace, path) -> None:
-    """Per-step log: group, step, coordinate (1-based), b values, G values, evals."""
+    """Per-step log: group, step, coordinate (1-based), b values, G values, evals.
+
+    Coordinate 0 is never adjusted, so the step within the group is the
+    0-based coordinate."""
     steps = trace.steps
     with open(path, "w", newline="") as fh:
         fh.write("group,step,coordinate,b_old,b_new,G_target_before,G_target_after,oracle_evals\r\n")
         write_rows(fh, "%d,%d,%d,%r,%r,%r,%r,%d\r\n", [
-            [s.group for s in steps], [s.position for s in steps],
+            [s.group for s in steps], [s.coordinate for s in steps],
             [s.coordinate + 1 for s in steps],
             *([getattr(s, k) for s in steps] for k in ("b_old", "b_new", "g_before", "g_after")),
             [s.oracle_evals for s in steps],

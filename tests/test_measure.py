@@ -47,7 +47,7 @@ from refractor.scene import (
     initial_admissible_vector,
     target_weights,
 )
-from refractor.solver import MonotoneOracleSpec, SolverConfig, solve
+from refractor.solver import MonotoneOracleSpec, solve
 from refractor.parallel import CHUNK, chunk_slices
 
 
@@ -550,8 +550,8 @@ def test_crossing_matches_reference_along_a_descent(canonical_scene, grid64):
     lower, upper = admissible_bounds(scene)
     spec = MonotoneOracleSpec(evaluate=oracle, lower=lower, upper=upper,
                               limits=np.full(scene.n_targets, energies.sum()))
-    config = SolverConfig(epsilon=2e-2 * energies.sum())
-    b, trace = solve(spec, g, initial_admissible_vector(scene), config,
+    delta = 2e-2 * energies.sum() / scene.n_targets
+    b, trace = solve(spec, g, initial_admissible_vector(scene), delta,
                      floors=lower + alpha_bound(scene), crossing=crossing)
     assert trace.converged and len(seen) >= 6 and None not in seen
     for j, ulps in ((1, 1), (2, -1), (3, 3), (1, -2)):

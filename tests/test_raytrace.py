@@ -16,7 +16,7 @@ from refractor.geometry import (
     dir_from_spherical,
     normalize,
 )
-from refractor.measure import ROWS_PER_WRITE, surface, total_energy
+from refractor.measure import ROWS_PER_WRITE, surface, total_energy, write_json
 from refractor.oval import OvalParams, oval_extrema
 from refractor.raytrace import (
     TotalInternalReflection,
@@ -26,11 +26,10 @@ from refractor.raytrace import (
     trace_ray,
     validate_transport,
     write_ray_csv,
-    write_report_json,
 )
 from refractor.scene import InadmissibleBVector, initial_admissible_vector
 from refractor.snell import critical_cos, refract
-from refractor.solver import SolverConfig, solve_refractor
+from refractor.solver import solve_refractor
 
 
 # --- single rays ----------------------------------------------------------------
@@ -197,8 +196,7 @@ def test_transport_zero_tolerance(canonical_scene, grid64):
 def test_transport_solved_vector(canonical_scene, grid64):
     f_values = canonical_scene.intensity.values(grid64)
     total = total_energy(grid64, f_values)
-    sol = solve_refractor(canonical_scene, grid64,
-                          SolverConfig(epsilon=2e-2 * total))
+    sol = solve_refractor(canonical_scene, grid64, epsilon=2e-2 * total)
     rep = validate_transport(canonical_scene, sol.b, grid64)
     assert 0 < rep.n_crease < rep.n_rays // 2
     assert rep.fraction_within == 1.0          # every non-crease ray lands
@@ -216,7 +214,7 @@ def test_report_files(canonical_scene, grid64, tmp_path):
     rep = validate_transport(canonical_scene, b0, grid64)
 
     jpath = tmp_path / "transport.json"
-    write_report_json(rep, jpath)
+    write_json(rep.to_dict(), jpath)
     loaded = json.loads(jpath.read_text())
     assert set(loaded) == {
         "n_rays", "n_crease_excluded", "tol_rel", "fraction_within",
@@ -268,7 +266,7 @@ def _hand_report(thetas, phis, labels, rel_miss, within, crease):
     report = TransportReport(
         n_rays=n, n_crease=int(np.sum(crease)), tol_rel=1e-6, fraction_within=0.0,
         max_rel_miss=0.0, per_target=[], total_assigned=0.0, total_ray=0.0, all_match=True,
-        labels=labels, miss=rel_miss, rel_miss=rel_miss, within=within, crease=crease,
+        labels=labels, rel_miss=rel_miss, within=within, crease=crease,
     )
     return grid, report
 

@@ -6,8 +6,6 @@ binding, whose steps land at the oracle's closed-form crossing, is then
 exercised on small grids.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,6 @@ from refractor.solver import (
     MaxGroupsExceeded,
     MonotoneOracleSpec,
     QuantizationTooCoarse,
-    SolverConfig,
     adjust_coordinate,
     estimate_lipschitz,
     solve,
@@ -190,8 +187,7 @@ def test_separable_oracle_one_group():
     total = 0.75
     spec = separable_spec(C, total)
     f = np.array([0.1, 0.2, 0.3, 0.15])
-    config = SolverConfig(epsilon=0.004)  # delta = 0.001
-    b_final, trace = solve(spec, f, np.array([0.5, 1.0, 1.0, 1.0]), config)
+    b_final, trace = solve(spec, f, np.array([0.5, 1.0, 1.0, 1.0]), 0.001)
 
     assert trace.converged
     assert trace.groups_used == 1    # the quiet group is a certificate, not work
@@ -213,8 +209,7 @@ def test_coupled_oracle_invariants():
     spec = coupled_spec(c=0.5, gamma=0.45, total=2.0)
     f = np.array([1.04, 0.48, 0.48])
     delta = 1e-3
-    config = SolverConfig(delta=delta, max_groups=500)
-    b_final, trace = solve(spec, f, np.array([0.3, 1.0, 1.0]), config)
+    b_final, trace = solve(spec, f, np.array([0.3, 1.0, 1.0]), delta, max_groups=500)
 
     assert trace.converged
     assert trace.groups_used > 3     # the coupling forces repeated sweeps
@@ -226,7 +221,7 @@ def test_coupled_oracle_invariants():
         assert s.b_new <= s.b_old                           # never raises b
         assert s.b_old == last_b[j]
         last_b[j] = s.b_new
-        assert s.b_new >= trace.floors[j]
+        assert s.b_new >= spec.lower[j]                     # the default floors
         if s.changed:
             assert s.g_before < f[j] - delta               # left the band...
             assert s.g_after >= f[j]                        # ...landed at/above f
@@ -244,9 +239,8 @@ def test_coupled_oracle_invariants():
 def test_coupled_oracle_group_budget():
     spec = coupled_spec(c=0.5, gamma=0.45, total=2.0)
     f = np.array([1.04, 0.48, 0.48])
-    config = SolverConfig(delta=1e-3, max_groups=3)
     with pytest.raises(MaxGroupsExceeded) as exc_info:
-        solve(spec, f, np.array([0.3, 1.0, 1.0]), config)
+        solve(spec, f, np.array([0.3, 1.0, 1.0]), 1e-3, max_groups=3)
     trace = exc_info.value.trace
     assert trace is not None
     assert not trace.converged
@@ -257,8 +251,7 @@ def test_coupled_oracle_group_budget():
 
 def test_single_target_trivial():
     spec = separable_spec(np.array([0.0]), total=0.75)
-    b_final, trace = solve(spec, np.array([0.75]), np.array([0.5]),
-                           SolverConfig(delta=1e-3))
+    b_final, trace = solve(spec, np.array([0.75]), np.array([0.5]), 1e-3)
     assert trace.converged
     assert trace.groups_used == 0
     assert trace.steps == []
@@ -270,16 +263,13 @@ def test_solve_config_errors():
     spec = separable_spec(np.array([0.0, 1.0]), total=1.0)
     f = np.array([0.5, 0.5])
     start = np.array([0.5, 1.0])
-    with pytest.raises(ValueError, match="epsilon or delta"):
-        solve(spec, f, start, SolverConfig())
     with pytest.raises(ValueError, match="positive"):
-        solve(spec, f, start, SolverConfig(delta=0.0))
+        solve(spec, f, start, 0.0)
     with pytest.raises(ValueError, match="floors"):
-        solve(spec, f, start, SolverConfig(delta=1e-3),
-              floors=np.array([0.0, 1.5]))
+        solve(spec, f, start, 1e-3, floors=np.array([0.0, 1.5]))
     # start outside the membership set: G_1(start) = 1.0 > f_1 + delta
     with pytest.raises(ValueError, match="membership"):
-        solve(spec, f, np.array([0.5, 0.0]), SolverConfig(delta=1e-3))
+        solve(spec, f, np.array([0.5, 0.0]), 1e-3)
 
 
 # --- empirical rate estimate ------------------------------------------------------
@@ -317,8 +307,7 @@ def test_lipschitz_respects_hard_lower():
 def test_solve_refractor_canonical_coarse(canonical_scene, grid64):
     f_values = canonical_scene.intensity.values(grid64)
     total = total_energy(grid64, f_values)
-    sol = solve_refractor(canonical_scene, grid64,
-                          SolverConfig(epsilon=2e-2 * total))
+    sol = solve_refractor(canonical_scene, grid64, epsilon=2e-2 * total)
 
     assert sol.trace.converged
     assert float(np.max(sol.residuals)) <= sol.epsilon
@@ -367,8 +356,7 @@ def test_solve_refractor_oracle_replay_bitwise(scene_name, eps_rel, canonical_sc
             return H
 
     monkeypatch.setattr(solver_module, "MeasureOracle", Recording)
-    config = SolverConfig(epsilon=eps_rel * total_energy(grid, f_values))
-    sol = solve_refractor(scene, grid, config)
+    sol = solve_refractor(scene, grid, epsilon=eps_rel * total_energy(grid, f_values))
     assert sol.trace.converged and sol.trace.groups_used >= 1
     assert len(calls) == sol.trace.total_evals
     for b, H in calls:
@@ -390,7 +378,7 @@ def test_solve_refractor_relabels_every_node_once(canonical_scene, grid64, monke
     monkeypatch.setattr(solver_module, "MeasureOracle", Recording)
     f_values = canonical_scene.intensity.values(grid64)
     sol = solve_refractor(canonical_scene, grid64,
-                          SolverConfig(epsilon=2e-2 * total_energy(grid64, f_values)))
+                          epsilon=2e-2 * total_energy(grid64, f_values))
     changed = [s for s in sol.trace.steps if s.changed]
     assert changed and all(s.oracle_evals == 2 for s in changed)
     (oracle,) = oracles
@@ -415,11 +403,12 @@ def test_solve_refractor_default_epsilon_needs_fine_grid(canonical_scene, grid64
 
 
 def test_solve_refractor_delta_cap(canonical_scene, grid64):
+    """delta = epsilon / N must stay below g_1 / (N - 1); with N = 4,
+    epsilon = 4 g_1 / 3 puts delta exactly on that cap."""
     f_values = canonical_scene.intensity.values(grid64)
     g0 = float(target_weights(canonical_scene, grid64, f_values)[0])
     with pytest.raises(ValueError, match="delta"):
-        solve_refractor(canonical_scene, grid64,
-                        SolverConfig(delta=g0 / 3.0))
+        solve_refractor(canonical_scene, grid64, epsilon=4.0 * g0 / 3.0)
 
 
 def test_solve_refractor_single_target(single_scene):
@@ -437,17 +426,13 @@ def test_solve_refractor_single_target(single_scene):
     assert np.array_equal(sol.labels, np.zeros(grid.n_nodes, dtype=int))
 
 
-def test_solver_config_fields():
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["epsilon", "delta", "max_groups"]
-
-
 def test_solve_refractor_mirror_pair(mirror_scene):
     """Two targets placed mirror-symmetrically about the plane x z: the solved
     energies agree to within twice the largest node energy."""
     grid = build_quadrature(mirror_scene.cap, 128, 128)
     f_values = mirror_scene.intensity.values(grid)
     total = total_energy(grid, f_values)
-    sol = solve_refractor(mirror_scene, grid, SolverConfig(epsilon=1e-2 * total))
+    sol = solve_refractor(mirror_scene, grid, epsilon=1e-2 * total)
     assert sol.trace.converged
     assert float(np.max(sol.residuals)) <= sol.epsilon
     e_max = float(np.max(f_values * grid.weights))
@@ -470,13 +455,13 @@ def test_solution_labels_are_argmin_at_b_final(canonical_scene, grid256, solutio
 def test_canonical_256_steps_land_in_closed_form(solution256):
     """Every changed step of the default-tolerance 256x256 solve takes the
     oracle's crossing: one call before and one to check, no bisection."""
-    trace = solution256.trace
+    trace, delta = solution256.trace, solution256.delta
     changed = [s for s in trace.steps if s.changed]
     assert changed
     for s in changed:
-        f_j = trace.f[s.coordinate]
+        f_j = solution256.g[s.coordinate]
         assert s.oracle_evals == 2, s
-        assert f_j <= s.g_after <= f_j + trace.delta, s
+        assert f_j <= s.g_after <= f_j + delta, s
     assert all(s.oracle_evals == 1 for s in trace.steps if not s.changed)
     assert trace.total_evals == sum(s.oracle_evals for s in trace.steps) + 2
 
@@ -540,8 +525,7 @@ def test_crossing_with_tied_switch_values():
 def test_write_convergence_csv(tmp_path):
     spec = separable_spec(np.array([0.0, 0.5, 0.6, 0.7]), total=0.75)
     f = np.array([0.1, 0.2, 0.3, 0.15])
-    _, trace = solve(spec, f, np.array([0.5, 1.0, 1.0, 1.0]),
-                     SolverConfig(epsilon=0.004))
+    _, trace = solve(spec, f, np.array([0.5, 1.0, 1.0, 1.0]), 0.001)
     path = tmp_path / "trace.csv"
     write_convergence_csv(trace, path)
     lines = path.read_text().splitlines()
@@ -550,6 +534,7 @@ def test_write_convergence_csv(tmp_path):
     assert len(lines) == len(trace.steps) + 1
     first = lines[1].split(",")
     assert first[0] == "1"
-    assert first[2] == "2"  # coordinates are 1-based in the log
+    assert first[1] == "1"  # the first step of the group...
+    assert first[2] == "2"  # ...adjusts coordinate 2: coordinates are 1-based in the log
     assert float(first[3]) == trace.steps[0].b_old
     assert float(first[6]) == trace.steps[0].g_after
