@@ -125,7 +125,7 @@ def run_solve(args) -> int:
         "delta": sol.delta,
         "total_energy": sol.total,
         "b_final": [float(v) for v in sol.b],
-        "H": [float(v) for v in sol.measure.H],
+        "H": [float(v) for v in sol.H],
         "g": [float(v) for v in sol.g],
         "residuals": [float(v) for v in sol.residuals],
         "max_residual": float(np.max(sol.residuals)),

@@ -127,10 +127,11 @@ def validate_h1(scene: Scene) -> float:
     Requires tau_star > 0 and scene.tau <= tau_star, so that every cap
     direction satisfies x . P_i >= (kappa + tau)|P_i|.
     """
-    ts = tau_star(scene.cap, scene.points, scene.kappa)
+    dots = [cap_min_dot(scene.cap, normalize(p)) for p in scene.points]
+    ts = float(min(dots) - scene.kappa)   # tau_star, from the dots that name the binding target
     if ts > 0.0 and scene.tau <= ts:
         return ts
-    worst = int(np.argmin([cap_min_dot(scene.cap, normalize(p)) for p in scene.points])) + 1
+    worst = int(np.argmin(dots)) + 1
     if ts <= 0.0:
         raise H1Violated(f"target {worst} is too oblique: tau_star = {ts:.6f} <= 0")
     raise H1Violated(
@@ -325,9 +326,10 @@ def validate_scene(scene: Scene) -> float:
                 raise SceneValidationError(f"targets {i + 1} and {j + 1} coincide")
     if not (0.0 < scene.kappa < 1.0):
         raise SceneValidationError("kappa must lie in (0, 1)")
+    # H1 first: an oblique target is named even when its default tau is out of range
+    ts = validate_h1(scene)
     if not (0.0 < scene.tau < 1.0 - scene.kappa):
         raise SceneValidationError("tau must lie in (0, 1 - kappa)")
-    ts = validate_h1(scene)
     validate_h2(scene)
     lo = scene.kappa * float(scene.p_norms[0])
     hi = b1_upper(scene)
@@ -396,14 +398,12 @@ def scene_from_dict(d: dict) -> Scene:
     if len(targets) < 1:
         raise SceneValidationError("need at least one target")
     pts = np.stack([t.point for t in targets])
+    # validate_scene checks kappa too, but only after the defaults below divide by 1 + kappa
     if not (0.0 < kappa < 1.0):
         raise SceneValidationError("kappa must lie in (0, 1)")
 
-    ts = tau_star(cap, pts, kappa)
-    if ts <= 0.0:
-        raise H1Violated(f"tau_star = {ts:.6f} <= 0; targets too oblique for this cap")
     if tau is None:
-        tau = 0.9 * min(ts, 1.0 - kappa)
+        tau = 0.9 * min(tau_star(cap, pts, kappa), 1.0 - kappa)
 
     if r0 is None:
         bound = tau / (1.0 + kappa) * float(np.min(np.linalg.norm(pts, axis=1)))

@@ -12,8 +12,9 @@ pins the first coordinate's residual to at most N*delta.
 By default the crossing is found by bisection on G alone. A caller that
 knows the oracle's step function can pass a crossing(b, j, f_j) function to
 solve; its answer is tried first and kept when one oracle call lands it in
-the band, so a step costs two calls. The refractor binding passes
-MeasureOracle.crossing.
+the band. The descent carries G at its current point from step to step, so a
+step that changes nothing costs no call and a landed crossing costs one. The
+refractor binding passes MeasureOracle.crossing.
 
 The first coordinate is never adjusted; it anchors the family.
 """
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measure import MeasureOracle, MeasureVector, node_energies, total_energy, write_rows
+from .measure import MeasureOracle, node_energies, total_energy, write_rows
 from .scene import (
     Scene,
     admissible_bounds,
@@ -59,8 +60,8 @@ class MonotoneOracleSpec:
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     lower: np.ndarray   # open lower limits alpha_i (flooding end)
-    upper: np.ndarray   # upper bounds beta_i
-    limits: np.ndarray  # flooding values C_i = lim_{b_i -> alpha_i+} G_i(b)
+    upper: np.ndarray   # upper bounds beta_i; unread, kept for benchmark/tracing.py's rebuild
+    limits: np.ndarray  # flooding values C_i = lim_{b_i -> alpha_i+} G_i(b); unread, likewise
 
 
 BRACKET_TOL = 1e-9   # bisection stops once its bracket is narrower than this
@@ -91,41 +92,22 @@ class SolverTrace:
     group_bound: Optional[float] = None
 
 
-class _CountingOracle:
-    def __init__(self, fn):
-        self._fn = fn
-        self.calls = 0
-
-    def __call__(self, b):
-        self.calls += 1
-        return np.asarray(self._fn(b), dtype=float)
-
-
-def adjust_coordinate(oracle, j, b, f_j, delta, floor_j, bracket_tol=BRACKET_TOL,
+def adjust_coordinate(oracle, j, b, g, f_j, delta, floor_j, bracket_tol=BRACKET_TOL,
                       crossing=None):
     """Lower coordinate j until G_j lands in [f_j, f_j + delta].
 
-    No-op (and a single oracle call) when G_j already sits in the test band
+    g is G(b). No oracle call when g_j already sits in the test band
     [f_j - delta, f_j + delta]. Otherwise, given crossing, it takes
     crossing(b, j, f_j) as b_j if that lies in [floor_j, b_j) and one oracle
     call there lands G_j in the band. Failing that, it bisects on
     [floor_j, b_j], keeping G(lo) >= f_j and G(hi) < f_j, down to bracket_tol,
     and returns the lo end: the least decrease that reaches f_j. Returns
-    (b_new, StepRecord-fields).
+    (b_new, G(b_new), oracle calls, changed).
     """
     b = np.asarray(b, dtype=float)
-    calls = 0
-
-    def g_at(bj):
-        nonlocal calls
-        probe = b.copy()
-        probe[j] = bj
-        calls += 1
-        return float(np.asarray(oracle(probe), dtype=float)[j])
-
-    g_before = g_at(b[j])
+    g_before = float(g[j])
     if f_j - delta <= g_before <= f_j + delta:
-        return b, g_before, g_before, calls, False
+        return b, g, 0, False
     if g_before > f_j + delta:
         raise ValueError(
             f"G[{j}] = {g_before!r} above f + delta = {f_j + delta!r}: "
@@ -133,41 +115,43 @@ def adjust_coordinate(oracle, j, b, f_j, delta, floor_j, bracket_tol=BRACKET_TOL
         )
     if floor_j > b[j]:
         raise ValueError(f"floor {floor_j!r} above current coordinate {float(b[j])!r}")
+    calls = 0
 
-    def moved(bj):
-        b_new = b.copy()
-        b_new[j] = bj
-        return b_new
+    def at(bj):
+        nonlocal calls
+        probe = b.copy()
+        probe[j] = bj
+        calls += 1
+        return probe, np.asarray(oracle(probe), dtype=float)
 
     guess = crossing(b, j, f_j) if crossing is not None else None
     if guess is not None and floor_j <= guess < b[j]:
-        g_guess = g_at(guess)
-        if f_j <= g_guess <= f_j + delta:
-            return moved(guess), g_before, g_guess, calls, True
+        b_new, g_new = at(guess)
+        if f_j <= g_new[j] <= f_j + delta:
+            return b_new, g_new, calls, True
 
-    g_floor = g_at(floor_j)
-    if g_floor < f_j:
+    lo, g_lo = at(floor_j)
+    if g_lo[j] < f_j:
         raise FloorReached(
-            f"G[{j}] at floor {floor_j!r} is {g_floor!r} < f = {f_j!r}; "
+            f"G[{j}] at floor {floor_j!r} is {float(g_lo[j])!r} < f = {f_j!r}; "
             "flooding limit insufficient for this target"
         )
-    lo, g_lo = floor_j, g_floor
     hi = float(b[j])
-    while hi - lo >= bracket_tol:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
+    while hi - lo[j] >= bracket_tol:
+        mid = 0.5 * (lo[j] + hi)
+        if not (lo[j] < mid < hi):
             break
-        g_mid = g_at(mid)
-        if g_mid >= f_j:
-            lo, g_lo = mid, g_mid
+        probe, g_mid = at(mid)
+        if g_mid[j] >= f_j:
+            lo, g_lo = probe, g_mid
         else:
             hi = mid
-    if g_lo > f_j + delta:
+    if g_lo[j] > f_j + delta:
         raise QuantizationTooCoarse(
-            f"coordinate {j}: bracket below {bracket_tol!r} with G = {g_lo!r} "
+            f"coordinate {j}: bracket below {bracket_tol!r} with G = {float(g_lo[j])!r} "
             f"outside [f, f + delta] = [{f_j!r}, {f_j + delta!r}]; refine the grid or relax epsilon"
         )
-    return moved(lo), g_before, g_lo, calls, True
+    return lo, g_lo, calls, True
 
 
 def solve(spec: MonotoneOracleSpec, f, b_start, delta: float, floors=None, crossing=None,
@@ -175,10 +159,11 @@ def solve(spec: MonotoneOracleSpec, f, b_start, delta: float, floors=None, cross
     """Run grouped coordinate adjustments until a group changes nothing.
 
     delta is the half-width of each coordinate's test band; crossing, if
-    given, proposes each adjusted coordinate (adjust_coordinate). Returns
-    (b_final, SolverTrace). Raises MaxGroupsExceeded when the group budget
-    runs out; QuantizationTooCoarse / FloorReached propagate from the
-    per-coordinate adjustment.
+    given, proposes each adjusted coordinate (adjust_coordinate). G is
+    evaluated once at b_start and then only where a step probes; the descent
+    carries G at its current point. Returns (b_final, SolverTrace). Raises
+    MaxGroupsExceeded when the group budget runs out; QuantizationTooCoarse /
+    FloorReached propagate from the per-coordinate adjustment.
     """
     f = np.asarray(f, dtype=float)
     b = np.array(b_start, dtype=float)
@@ -189,50 +174,47 @@ def solve(spec: MonotoneOracleSpec, f, b_start, delta: float, floors=None, cross
     if np.any(floors[1:] > b[1:]):
         raise ValueError("floors exceed the starting vector")
 
-    oracle = _CountingOracle(spec.evaluate)
     trace = SolverTrace()
-
-    g0 = oracle(b)
+    g = np.asarray(spec.evaluate(b), dtype=float)
     for j in range(1, n):
-        if g0[j] > f[j] + delta:
+        if g[j] > f[j] + delta:
             raise ValueError(
-                f"start vector outside membership set: G[{j}] = {float(g0[j])!r} > f + delta"
+                f"start vector outside membership set: G[{j}] = {float(g[j])!r} > f + delta"
             )
 
     for group in range(1, max_groups + 1):
         changed_any = False
         for j in range(1, n):
-            b_new, g_before, g_after, evals, changed = adjust_coordinate(
-                oracle, j, b, float(f[j]), delta, float(floors[j]), crossing=crossing,
+            b_new, g_new, evals, changed = adjust_coordinate(
+                spec.evaluate, j, b, g, float(f[j]), delta, float(floors[j]), crossing=crossing,
             )
             trace.steps.append(StepRecord(
                 group=group, coordinate=j,
                 b_old=float(b[j]), b_new=float(b_new[j]),
-                g_before=g_before, g_after=g_after,
+                g_before=float(g[j]), g_after=float(g_new[j]),
                 oracle_evals=evals, changed=changed,
             ))
-            if changed:
-                changed_any = True
-                b = b_new
+            changed_any |= changed
+            b, g = b_new, g_new
         if not changed_any:
             trace.converged = True
             break
         trace.groups_used += 1
+    trace.b_final = b.copy()
+    trace.total_evals = 1 + sum(s.oracle_evals for s in trace.steps)
     if not trace.converged:
-        trace.b_final = b.copy()
-        trace.total_evals = oracle.calls
         raise MaxGroupsExceeded(
             f"no quiet group within {max_groups} groups", trace=trace
         )
-
-    trace.g_final = oracle(b)
-    trace.b_final = b.copy()
-    trace.total_evals = oracle.calls
+    trace.g_final = g
     return b, trace
 
 
 def estimate_lipschitz(spec_or_fn, lower, upper, t_probe, n_samples=32, seed=0, hard_lower=None):
     """Empirical one-sided rate M^ = max (G_i(b - t e_i) - G_i(b)) / t.
+
+    No code in the program calls it; it is kept because benchmark/tracing.py
+    wraps it.
 
     Samples b uniformly in [lower, upper] (a pinned coordinate is expressed by
     lower_i == upper_i) and probes every coordinate whose decrease by t_probe
@@ -263,7 +245,7 @@ def estimate_lipschitz(spec_or_fn, lower, upper, t_probe, n_samples=32, seed=0, 
 @dataclass(frozen=True, eq=False)
 class RefractorSolution:
     b: np.ndarray
-    measure: object
+    H: np.ndarray       # G(b): the refracted energy per target
     labels: np.ndarray  # (n,) 0-based cell of each node at b
     g: np.ndarray
     residuals: np.ndarray
@@ -328,12 +310,10 @@ def solve_refractor(scene: Scene, grid, epsilon: Optional[float] = None,
             2.0 * trace.lipschitz_estimate / delta * float(np.max(b_start[1:] - floors[1:]))
         )
 
-    # the oracle's last answer, at b_final, is bitwise refractor_measure's there
-    mv = MeasureVector(H=trace.g_final, total=float(trace.g_final.sum()))
-    labels = oracle.labels(b_final)
-    residuals = np.abs(mv.H - g)
+    # the held G(b_final) is the oracle's answer there, bitwise refractor_measure's
+    H = trace.g_final
     return RefractorSolution(
-        b=b_final, measure=mv, labels=labels, g=g, residuals=residuals,
+        b=b_final, H=H, labels=oracle.labels(b_final), g=g, residuals=np.abs(H - g),
         epsilon=epsilon, delta=delta, total=total, trace=trace,
         bound_supported=structurally_supported(validate_structural(scene)),
     )

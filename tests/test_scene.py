@@ -313,6 +313,19 @@ def test_scene_from_dict_malformed():
                          "targets": []})
 
 
+def test_scene_from_dict_rejects_oblique_target_and_bad_kappa():
+    """An oblique target with a defaulted tau is named by H1, not by the tau
+    range; kappa is refused before the defaults divide by 1 + kappa."""
+    d = {"kappa": 0.3, "cap": {"axis": [0, 0, 1], "half_angle_deg": 10},
+         "targets": [{"point": [5, 0, 0], "weight": 1.0}]}
+    with pytest.raises(H1Violated, match="target 1 is too oblique"):
+        scene_from_dict(d)
+    d["targets"] = [{"point": [0, 0, 5], "weight": 1.0}]
+    for kappa in (1.2, -1.0):
+        with pytest.raises(SceneValidationError, match="kappa"):
+            scene_from_dict(dict(d, kappa=kappa))
+
+
 def test_load_scene_roundtrip(tmp_path, canonical_scene):
     d = {
         "kappa": 0.3,

@@ -84,40 +84,48 @@ def test_adjust_noop_inside_band():
         return np.array([0.0, 0.349])
 
     b = np.array([0.5, 0.8])
-    b_new, g_before, g_after, evals, changed = adjust_coordinate(
-        oracle, 1, b, f_j=0.35, delta=0.002, floor_j=0.0)
+    g = np.array([0.0, 0.349])
+    b_new, g_new, evals, changed = adjust_coordinate(
+        oracle, 1, b, g, f_j=0.35, delta=0.002, floor_j=0.0)
     assert not changed
-    assert evals == 1 and len(calls) == 1
+    assert evals == 0 and calls == []      # G(b) is given: nothing to evaluate
     assert np.array_equal(b_new, b)
-    assert g_before == g_after == 0.349
+    assert g_new is g and g_new[1] == 0.349
 
 
 def test_adjust_bisects_to_preimage():
     spec = separable_spec([1.0, 1.0], total=1.0)
     b = np.array([0.5, 1.0])
-    b_new, g_before, g_after, evals, changed = adjust_coordinate(
-        spec.evaluate, 1, b, f_j=0.35, delta=1e-6, floor_j=0.0)
+    g = spec.evaluate(b)
+    b_new, g_new, evals, changed = adjust_coordinate(
+        spec.evaluate, 1, b, g, f_j=0.35, delta=1e-6, floor_j=0.0)
     assert changed
-    assert g_before == 0.0
+    assert g[1] == 0.0
     assert abs(b_new[1] - 0.65) <= 1e-9       # analytic preimage of f_j
-    assert 0.35 <= g_after <= 0.35 + 1e-6
-    assert evals <= 40
+    assert 0.35 <= g_new[1] <= 0.35 + 1e-6
+    assert np.array_equal(g_new, spec.evaluate(b_new))   # G at the lo end it returns
+    assert evals <= 39
 
 
-def test_adjust_lands_at_crossing_in_two_calls():
+def test_adjust_lands_at_crossing_in_one_call():
     spec = separable_spec([1.0, 1.0], total=1.0)
     b = np.array([0.5, 1.0])
-    proposed = []
+    proposed, calls = [], []
 
     def crossing(bb, j, f_j):
         proposed.append((bb.copy(), j, f_j))
         return 0.6499995                    # G_1 = 0.3500005, inside the band
 
-    b_new, g_before, g_after, evals, changed = adjust_coordinate(
-        spec.evaluate, 1, b, f_j=0.35, delta=1e-6, floor_j=0.0, crossing=crossing)
-    assert changed and evals == 2
+    def oracle(bb):
+        calls.append(bb.copy())
+        return spec.evaluate(bb)
+
+    b_new, g_new, evals, changed = adjust_coordinate(
+        oracle, 1, b, spec.evaluate(b), f_j=0.35, delta=1e-6, floor_j=0.0, crossing=crossing)
+    assert changed and evals == 1
+    assert len(calls) == 1 and np.array_equal(calls[0], b_new)   # the check, nothing else
     assert b_new[1] == 0.6499995 and b_new[0] == 0.5
-    assert g_before == 0.0 and g_after == spec.evaluate(b_new)[1]
+    assert np.array_equal(g_new, spec.evaluate(b_new))
     assert len(proposed) == 1 and np.array_equal(proposed[0][0], b)
     assert proposed[0][1:] == (1, 0.35)
 
@@ -135,39 +143,40 @@ def test_adjust_falls_back_to_bisection(guess, checked):
     band costs its check. Either way bisection then lands as without it."""
     spec = separable_spec([1.0, 1.0], total=1.0)
     b = np.array([0.5, 1.0])
-    plain = adjust_coordinate(spec.evaluate, 1, b, f_j=0.35, delta=1e-6, floor_j=0.0)
-    got = adjust_coordinate(spec.evaluate, 1, b, f_j=0.35, delta=1e-6, floor_j=0.0,
+    g = spec.evaluate(b)
+    plain = adjust_coordinate(spec.evaluate, 1, b, g, f_j=0.35, delta=1e-6, floor_j=0.0)
+    got = adjust_coordinate(spec.evaluate, 1, b, g, f_j=0.35, delta=1e-6, floor_j=0.0,
                             crossing=lambda bb, j, f_j: guess)
     assert np.array_equal(got[0], plain[0])
-    assert got[1:3] == plain[1:3] and got[4] is True
-    assert got[3] == plain[3] + checked
+    assert np.array_equal(got[1], plain[1]) and got[3] is True
+    assert got[2] == plain[2] + checked
 
 
 def test_adjust_rejects_membership_violation():
     def oracle(b):
         return np.array([0.0, 0.9])
 
+    b = np.array([0.5, 1.0])
     with pytest.raises(ValueError, match="membership"):
-        adjust_coordinate(oracle, 1, np.array([0.5, 1.0]),
-                          f_j=0.35, delta=0.01, floor_j=0.0)
+        adjust_coordinate(oracle, 1, b, oracle(b), f_j=0.35, delta=0.01, floor_j=0.0)
 
 
 def test_adjust_rejects_floor_above_coordinate():
     def oracle(b):
         return np.array([0.0, 0.0])
 
+    b = np.array([0.5, 0.4])
     with pytest.raises(ValueError, match="floor"):
-        adjust_coordinate(oracle, 1, np.array([0.5, 0.4]),
-                          f_j=0.35, delta=0.01, floor_j=0.6)
+        adjust_coordinate(oracle, 1, b, oracle(b), f_j=0.35, delta=0.01, floor_j=0.6)
 
 
 def test_adjust_floor_reached():
     def oracle(b):
         return np.array([0.0, 0.0])
 
+    b = np.array([0.5, 1.0])
     with pytest.raises(FloorReached):
-        adjust_coordinate(oracle, 1, np.array([0.5, 1.0]),
-                          f_j=0.35, delta=0.01, floor_j=0.0)
+        adjust_coordinate(oracle, 1, b, oracle(b), f_j=0.35, delta=0.01, floor_j=0.0)
 
 
 def test_adjust_quantization_too_coarse():
@@ -175,9 +184,9 @@ def test_adjust_quantization_too_coarse():
         # a single step of height 1 at b_1 = 0.5: no value lands in the band
         return np.array([0.0, 1.0 if b[1] <= 0.5 else 0.0])
 
+    b = np.array([0.5, 1.0])
     with pytest.raises(QuantizationTooCoarse):
-        adjust_coordinate(oracle, 1, np.array([0.5, 1.0]),
-                          f_j=0.3, delta=0.1, floor_j=0.0)
+        adjust_coordinate(oracle, 1, b, oracle(b), f_j=0.3, delta=0.1, floor_j=0.0)
 
 
 # --- grouped solve on synthetic oracles ------------------------------------------
@@ -192,7 +201,7 @@ def test_separable_oracle_one_group():
     assert trace.converged
     assert trace.groups_used == 1    # the quiet group is a certificate, not work
     assert len(trace.steps) == 6     # 2 groups x 3 adjustable coordinates
-    assert all(not s.changed for s in trace.steps[3:])
+    assert all(not s.changed and s.oracle_evals == 0 for s in trace.steps[3:])
 
     for j in range(1, 4):
         preimage = 1.0 - f[j] / C[j]
@@ -201,7 +210,8 @@ def test_separable_oracle_one_group():
     for j in range(1, 4):
         assert f[j] <= g[j] <= f[j] + 0.001
     assert abs(g[0] - f[0]) <= 4 * 0.001   # conservation: N * delta
-    assert trace.total_evals == sum(s.oracle_evals for s in trace.steps) + 2
+    assert trace.total_evals == sum(s.oracle_evals for s in trace.steps) + 1
+    assert np.array_equal(trace.g_final, g)
     assert np.array_equal(trace.b_final, b_final)
 
 
@@ -247,6 +257,7 @@ def test_coupled_oracle_group_budget():
     assert trace.groups_used == 3
     assert trace.b_final is not None
     assert trace.g_final is None
+    assert trace.total_evals == 1 + sum(s.oracle_evals for s in trace.steps)
 
 
 def test_single_target_trivial():
@@ -256,7 +267,7 @@ def test_single_target_trivial():
     assert trace.groups_used == 0
     assert trace.steps == []
     assert b_final[0] == 0.5
-    assert trace.total_evals == 2
+    assert trace.total_evals == 1
 
 
 def test_solve_config_errors():
@@ -329,7 +340,7 @@ def test_solve_refractor_canonical_coarse(canonical_scene, grid64):
 
     g = target_weights(canonical_scene, grid64, f_values)
     mv = refractor_measure(canonical_scene, sol.b, grid64, f_values)
-    assert np.array_equal(mv.H, sol.measure.H)
+    assert np.array_equal(mv.H, sol.H)
     assert np.array_equal(np.abs(mv.H - g), sol.residuals)
 
     assert sol.trace.lipschitz_estimate is not None
@@ -343,7 +354,8 @@ def test_solve_refractor_oracle_replay_bitwise(scene_name, eps_rel, canonical_sc
                                                mirror_scene, monkeypatch):
     """Every answer the oracle gives in a whole solve, the checks of
     closed-form landings included, is bitwise the fresh measure at the same b,
-    and the descent is the oracle's only caller."""
+    and the descent is the oracle's only caller: once at the start, then once
+    at each point a step moves to, never twice at one b."""
     scene = {"canonical": canonical_scene, "mirror": mirror_scene}[scene_name]
     grid = build_quadrature(scene.cap, 64, 64)
     f_values = scene.intensity.values(grid)
@@ -359,6 +371,9 @@ def test_solve_refractor_oracle_replay_bitwise(scene_name, eps_rel, canonical_sc
     sol = solve_refractor(scene, grid, epsilon=eps_rel * total_energy(grid, f_values))
     assert sol.trace.converged and sol.trace.groups_used >= 1
     assert len(calls) == sol.trace.total_evals
+    assert sol.trace.total_evals == 1 + sum(s.oracle_evals for s in sol.trace.steps)
+    assert len({b.tobytes() for b, _ in calls}) == len(calls)
+    assert np.array_equal(calls[-1][1], sol.H) and np.array_equal(calls[-1][0], sol.b)
     for b, H in calls:
         assert np.array_equal(H, refractor_measure(scene, b, grid, f_values).H), b
 
@@ -380,7 +395,7 @@ def test_solve_refractor_relabels_every_node_once(canonical_scene, grid64, monke
     sol = solve_refractor(canonical_scene, grid64,
                           epsilon=2e-2 * total_energy(grid64, f_values))
     changed = [s for s in sol.trace.steps if s.changed]
-    assert changed and all(s.oracle_evals == 2 for s in changed)
+    assert changed and all(s.oracle_evals == 1 for s in changed)
     (oracle,) = oracles
     assert oracle.full_relabels == 1
     assert oracle.rows_evaluated == canonical_scene.n_targets + len(changed)
@@ -418,8 +433,9 @@ def test_solve_refractor_single_target(single_scene):
     assert sol.trace.groups_used == 0
     # bincount accumulates sequentially, np.sum pairwise: bitwise equality
     # holds against the measure's own total, near-equality against the source
-    assert sol.measure.H[0] == sol.measure.total
-    assert abs(sol.measure.H[0] - sol.total) < 1e-12 * sol.total
+    mv = refractor_measure(single_scene, sol.b, grid, single_scene.intensity.values(grid))
+    assert sol.H[0] == mv.total
+    assert abs(sol.H[0] - sol.total) < 1e-12 * sol.total
     assert float(np.max(sol.residuals)) <= sol.epsilon
     assert sol.trace.lipschitz_estimate is None    # no step, no rate
     assert sol.trace.group_bound is None
@@ -436,7 +452,7 @@ def test_solve_refractor_mirror_pair(mirror_scene):
     assert sol.trace.converged
     assert float(np.max(sol.residuals)) <= sol.epsilon
     e_max = float(np.max(f_values * grid.weights))
-    assert abs(sol.measure.H[0] - sol.measure.H[1]) <= 2.0 * e_max
+    assert abs(sol.H[0] - sol.H[1]) <= 2.0 * e_max
 
 
 def test_solution_labels_are_argmin_at_b_final(canonical_scene, grid256, solution256,
@@ -454,27 +470,29 @@ def test_solution_labels_are_argmin_at_b_final(canonical_scene, grid256, solutio
 
 def test_canonical_256_steps_land_in_closed_form(solution256):
     """Every changed step of the default-tolerance 256x256 solve takes the
-    oracle's crossing: one call before and one to check, no bisection."""
+    oracle's crossing: one call to check it, no bisection. A step that
+    changes nothing makes no call."""
     trace, delta = solution256.trace, solution256.delta
     changed = [s for s in trace.steps if s.changed]
     assert changed
     for s in changed:
         f_j = solution256.g[s.coordinate]
-        assert s.oracle_evals == 2, s
+        assert s.oracle_evals == 1, s
         assert f_j <= s.g_after <= f_j + delta, s
-    assert all(s.oracle_evals == 1 for s in trace.steps if not s.changed)
-    assert trace.total_evals == sum(s.oracle_evals for s in trace.steps) + 2
+    assert all(s.oracle_evals == 0 for s in trace.steps if not s.changed)
+    assert trace.total_evals == sum(s.oracle_evals for s in trace.steps) + 1
 
 
 def _first_step(scene, grid, f_j, delta, b):
     """The closed-form step of coordinate 1 and a bisection down to one ulp,
-    each on a fresh oracle."""
+    each on a fresh oracle first called at b."""
     e = node_energies(grid, scene.intensity.values(grid))
     floor = float(admissible_bounds(scene)[0][1] + alpha_bound(scene))
     oracle = MeasureOracle(scene, grid, e)
-    closed = adjust_coordinate(oracle, 1, b, f_j, delta, floor, crossing=oracle.crossing)
-    bisected = adjust_coordinate(MeasureOracle(scene, grid, e), 1, b, f_j, delta, floor,
-                                 bracket_tol=1e-15)
+    closed = adjust_coordinate(oracle, 1, b, oracle(b), f_j, delta, floor,
+                               crossing=oracle.crossing)
+    oracle = MeasureOracle(scene, grid, e)
+    bisected = adjust_coordinate(oracle, 1, b, oracle(b), f_j, delta, floor, bracket_tol=1e-15)
     return closed, bisected
 
 
@@ -483,7 +501,7 @@ def test_crossing_on_mirror_split(mirror_scene):
     halve the cap. There the switch values of mirrored nodes straddle
     b_1 = 1.6 within 1e-12, and the band starts at exactly half the total, so
     the energy at the split meets f_2 only up to rounding. The step still
-    takes two calls and lands on the step that bisection finds, the first
+    takes one call and lands on the step that bisection finds, the first
     past the split."""
     grid = build_quadrature(mirror_scene.cap, 128, 128)
     f_values = mirror_scene.intensity.values(grid)
@@ -491,9 +509,9 @@ def test_crossing_on_mirror_split(mirror_scene):
     delta = 1e-2 * total_energy(grid, f_values) / 2
     b = initial_admissible_vector(mirror_scene)
     closed, bisected = _first_step(mirror_scene, grid, float(g[1]), delta, b)
-    assert closed[3] == 2 and closed[4]
-    assert g[1] <= closed[2] <= g[1] + delta
-    assert closed[2] == bisected[2]
+    assert closed[2] == 1 and closed[3]
+    assert g[1] <= closed[1][1] <= g[1] + delta
+    assert np.array_equal(closed[1], bisected[1])
     assert 1.6 - 1e-6 < closed[0][1] < 1.6
 
 
@@ -513,9 +531,9 @@ def test_crossing_with_tied_switch_values():
     b = np.array([1.6, 1.5])            # cell 1 holds the whole cap
     for frac in (0.37, 0.6):
         closed, bisected = _first_step(scene, grid, frac * total, 0.1 * total, b)
-        assert closed[3] == 2 and closed[4]
-        assert closed[2] == bisected[2]
-        assert frac * total <= closed[2] <= (frac + 0.1) * total
+        assert closed[2] == 1 and closed[3]
+        assert np.array_equal(closed[1], bisected[1])
+        assert frac * total <= closed[1][1] <= (frac + 0.1) * total
         labels = assign_cells(scene, closed[0], grid)
         assert np.count_nonzero(labels == 1) % grid.n_phi == 0
 
