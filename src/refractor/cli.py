@@ -23,7 +23,7 @@ from .geometry import build_quadrature
 from .measure import export_mesh, write_json, write_label_csv, write_obj
 from .oval import DegenerateNormal, NonPositiveDiscriminant
 from .raytrace import TotalInternalReflection, validate_transport, write_ray_csv
-from .scene import SceneValidationError, load_scene, validation_report
+from .scene import SceneValidationError, json_number, load_scene, validation_report
 from .solver import (
     MAX_GROUPS,
     FloorReached,
@@ -70,8 +70,9 @@ def _check_args(args) -> None:
             raise ValueError(f"--{flag} {path}: directory {path.parent} does not exist")
 
 
-def _load_b(args, n_targets: int) -> np.ndarray:
-    """b from --from-result (its b_final) or --b-file (a JSON list of numbers)."""
+def _load_b(args):
+    """b from --from-result (its b_final) or --b-file (a JSON list of numbers);
+    its shape and box are checked where it is used (scene.check_b_vector)."""
     path = args.from_result or args.b_file
     with open(path) as fh:
         data = json.load(fh)
@@ -79,15 +80,7 @@ def _load_b(args, n_targets: int) -> np.ndarray:
         if not isinstance(data, dict) or "b_final" not in data:
             raise SceneValidationError(f"{path}: no b_final entry")
         data = data["b_final"]
-    if not (isinstance(data, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data)):
-        raise SceneValidationError(f"{path}: b must be a JSON list of numbers")
-    b = np.asarray(data, dtype=float)
-    if b.shape != (n_targets,):
-        raise SceneValidationError(
-            f"b vector has {b.size} entries for {n_targets} targets"
-        )
-    return b
+    return json_number(data, f"{path}: b")
 
 
 def run_validate(args) -> int:
@@ -153,7 +146,7 @@ def run_solve(args) -> int:
 def run_trace(args) -> int:
     scene = load_scene(args.scene)
     grid = build_quadrature(scene.cap, *args.grid)
-    b = _load_b(args, scene.n_targets)
+    b = _load_b(args)
     report = validate_transport(scene, b, grid, tol_rel=args.tol)
     print(f"rays = {report.n_rays}, crease-excluded = {report.n_crease}")
     print(f"fraction within tol = {report.fraction_within:.6f}, max relative miss = {report.max_rel_miss:.3e}")
@@ -167,7 +160,7 @@ def run_trace(args) -> int:
 
 def run_mesh(args) -> int:
     scene = load_scene(args.scene)
-    b = _load_b(args, scene.n_targets)
+    b = _load_b(args)
     mesh = export_mesh(scene, b, *args.resolution)
     write_obj(mesh, args.out)
     print(f"wrote {args.out}: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces")

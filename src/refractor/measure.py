@@ -126,7 +126,8 @@ class MeasureOracle:
       minimum of radius and h_j.
     - any other call (the first, several rows moved, a row rose somewhere)
       relabels every node by a strict-less chain over all rows, argmin's
-      smallest-index tie rule.
+      smallest-index tie rule. A refractor solve's steps only lower one
+      coordinate each, so only its first call takes this path.
 
     Every held radius is positive: each row is checked as it is evaluated,
     and a b_j whose row is not (one at or below kappa |P_j|) is refused with
@@ -174,10 +175,12 @@ class MeasureOracle:
         b_j, and its steps are the energies of the nodes outside cell j taken
         in descending s. The answer lies in the middle of the gap between the
         switch value where their energy first reaches f_j - H_j(b) and the
-        next smaller distinct one; equal switch values make one step.
-        Returns None when the nodes outside cell j hold too little energy or
-        no smaller switch value is left. The caller checks the answer with a
-        call of the oracle.
+        next smaller distinct one; equal switch values make one step, and
+        every b_j in the gap gives the same cells. Returns None when the
+        nodes outside cell j hold too little energy or no smaller switch
+        value is left: either way the floor is as good a candidate as any. The
+        solver evaluates the answer, or the floor when it is None or lies
+        above the answer, with one oracle call, and a miss is final.
 
         The oracle sums H_j in node order and this method in switch order;
         the two sums differ by less than n ulps of f_j, so the energy must

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -146,16 +147,10 @@ def pairwise_line_distances(points: np.ndarray) -> np.ndarray:
     antipodal pairs give 0 (their line meets the origin).
     """
     pts = np.atleast_2d(points)
-    n = len(pts)
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            chord = pts[j] - pts[i]
-            denom = np.linalg.norm(chord)
-            if denom == 0.0:
-                out.append(0.0)
-                continue
-            out.append(float(np.linalg.norm(np.cross(pts[i], pts[j])) / denom))
+    for i, j in combinations(range(len(pts)), 2):
+        denom = np.linalg.norm(pts[j] - pts[i])
+        out.append(float(np.linalg.norm(np.cross(pts[i], pts[j])) / denom) if denom != 0.0 else 0.0)
     return np.array(out)
 
 
@@ -171,17 +166,13 @@ def validate_h2(scene: Scene) -> None:
         raise R0TooLarge(
             f"r0 = {scene.r0:.6f} not in (0, {bound:.6f}) = (0, tau/(1+kappa)*dist(O, targets))"
         )
-    if scene.n_targets >= 2:
-        dists = pairwise_line_distances(scene.points)
-        k = 0
-        for i in range(scene.n_targets):
-            for j in range(i + 1, scene.n_targets):
-                if dists[k] < scene.r0:
-                    raise H2Violated(
-                        f"line through targets {i + 1} and {j + 1} passes at distance "
-                        f"{dists[k]:.6f} < r0 = {scene.r0:.6f} from the origin"
-                    )
-                k += 1
+    pairs = combinations(range(scene.n_targets), 2)
+    for (i, j), dist in zip(pairs, pairwise_line_distances(scene.points)):
+        if dist < scene.r0:
+            raise H2Violated(
+                f"line through targets {i + 1} and {j + 1} passes at distance "
+                f"{dist:.6f} < r0 = {scene.r0:.6f} from the origin"
+            )
 
 
 def validate_structural(scene: Scene) -> list:
@@ -195,15 +186,11 @@ def validate_structural(scene: Scene) -> list:
     psi = scene.cap.half_angle
     pts = scene.points
     margins = []
-    for i in range(scene.n_targets):
-        for j in range(i + 1, scene.n_targets):
-            cr = np.cross(pts[i], pts[j])
-            nrm = np.linalg.norm(cr)
-            if nrm == 0.0:
-                margins.append((i + 1, j + 1, float("nan")))
-                continue
-            margin = abs(float(scene.cap.axis @ (cr / nrm))) - np.sin(psi)
-            margins.append((i + 1, j + 1, float(margin)))
+    for i, j in combinations(range(scene.n_targets), 2):
+        cr = np.cross(pts[i], pts[j])
+        nrm = np.linalg.norm(cr)
+        margin = abs(float(scene.cap.axis @ (cr / nrm))) - np.sin(psi) if nrm != 0.0 else np.nan
+        margins.append((i + 1, j + 1, float(margin)))
     return margins
 
 
@@ -244,7 +231,7 @@ def check_b_vector(scene: Scene, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (scene.n_targets,):
         raise InadmissibleBVector(
-            f"b has shape {b.shape}, expected ({scene.n_targets},)"
+            f"b has shape {b.shape} with {b.size} entries, expected ({scene.n_targets},)"
         )
     lower, upper = admissible_bounds(scene)
     bad = np.where(~((b > lower) & (b <= upper)))[0]  # NaN is inside no interval
@@ -320,10 +307,9 @@ def validate_scene(scene: Scene) -> float:
     if scene.n_targets < 1:
         raise SceneValidationError("need at least one target")
     pts = scene.points
-    for i in range(scene.n_targets):
-        for j in range(i + 1, scene.n_targets):
-            if np.array_equal(pts[i], pts[j]):
-                raise SceneValidationError(f"targets {i + 1} and {j + 1} coincide")
+    for i, j in combinations(range(scene.n_targets), 2):
+        if np.array_equal(pts[i], pts[j]):
+            raise SceneValidationError(f"targets {i + 1} and {j + 1} coincide")
     if not (0.0 < scene.kappa < 1.0):
         raise SceneValidationError("kappa must lie in (0, 1)")
     # H1 first: an oblique target is named even when its default tau is out of range
@@ -343,11 +329,21 @@ def validate_scene(scene: Scene) -> float:
 SMALLEST, LARGEST = 1e-50, 1e50   # magnitude range of a scene number
 
 
+def json_number(value, name: str):
+    """A number read from a JSON file as a float, or a list of them as a float
+    array. Only JSON numbers count: a string, a boolean, null, an object or a
+    nested list is refused, so the one rule holds for scenes and b files."""
+    items = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+        raise SceneValidationError(f"{name} must be a number or a list of numbers, got {value!r}")
+    return np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
+
+
 def _finite(value, name: str):
-    """A JSON number as a float, or a list of them as a float array. NaN,
-    infinities, magnitudes above LARGEST and nonzero scalars below SMALLEST
-    (each scalar is a scale the program squares or divides by) are refused."""
-    out = np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
+    """json_number, with NaN, infinities, magnitudes above LARGEST and nonzero
+    scalars below SMALLEST (each scalar is a scale the program squares or
+    divides by) refused."""
+    out = json_number(value, name)
     if not np.all(np.isfinite(out)):
         raise SceneValidationError(f"{name} must be finite, got {value!r}")
     size = np.abs(out)

@@ -10,11 +10,12 @@ inside [f_j, f_j + delta]. A group that changes nothing certifies
 pins the first coordinate's residual to at most N*delta.
 
 By default the crossing is found by bisection on G alone. A caller that
-knows the oracle's step function can pass a crossing(b, j, f_j) function to
-solve; its answer is tried first and kept when one oracle call lands it in
-the band. The descent carries G at its current point from step to step, so a
-step that changes nothing costs no call and a landed crossing costs one. The
-refractor binding passes MeasureOracle.crossing.
+knows the oracle's step function passes a crossing(b, j, f_j) function to
+solve instead; each changed step then evaluates its answer, clipped to the
+floor, with one oracle call and never bisects. Both paths end in one landing
+rule: G_j in the band, or FloorReached / QuantizationTooCoarse. The descent
+carries G at its current point from step to step, so a step that changes
+nothing costs no call. The refractor binding passes MeasureOracle.crossing.
 
 The first coordinate is never adjusted; it anchors the family.
 """
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measure import MeasureOracle, node_energies, total_energy, write_rows
+from .measure import MeasureOracle, node_energies, write_rows
 from .scene import (
     Scene,
     admissible_bounds,
@@ -97,12 +98,13 @@ def adjust_coordinate(oracle, j, b, g, f_j, delta, floor_j, bracket_tol=BRACKET_
     """Lower coordinate j until G_j lands in [f_j, f_j + delta].
 
     g is G(b). No oracle call when g_j already sits in the test band
-    [f_j - delta, f_j + delta]. Otherwise, given crossing, it takes
-    crossing(b, j, f_j) as b_j if that lies in [floor_j, b_j) and one oracle
-    call there lands G_j in the band. Failing that, it bisects on
-    [floor_j, b_j], keeping G(lo) >= f_j and G(hi) < f_j, down to bracket_tol,
-    and returns the lo end: the least decrease that reaches f_j. Returns
-    (b_new, G(b_new), oracle calls, changed).
+    [f_j - delta, f_j + delta]. Given crossing, b_j becomes
+    max(crossing(b, j, f_j), floor_j), or floor_j when that is None: one
+    oracle call. Without, it bisects on [floor_j, b_j], keeping G(lo) >= f_j
+    and G(hi) < f_j, down to bracket_tol, and keeps the lo end: the least
+    decrease that reaches f_j. Either way G_j below f_j at the floor raises
+    FloorReached, and outside [f_j, f_j + delta] otherwise
+    QuantizationTooCoarse. Returns (b_new, G(b_new), oracle calls, changed).
     """
     b = np.asarray(b, dtype=float)
     g_before = float(g[j])
@@ -124,34 +126,34 @@ def adjust_coordinate(oracle, j, b, g, f_j, delta, floor_j, bracket_tol=BRACKET_
         calls += 1
         return probe, np.asarray(oracle(probe), dtype=float)
 
-    guess = crossing(b, j, f_j) if crossing is not None else None
-    if guess is not None and floor_j <= guess < b[j]:
-        b_new, g_new = at(guess)
-        if f_j <= g_new[j] <= f_j + delta:
-            return b_new, g_new, calls, True
-
-    lo, g_lo = at(floor_j)
-    if g_lo[j] < f_j:
+    if crossing is not None:
+        guess = crossing(b, j, f_j)
+        b_new, g_new = at(floor_j if guess is None else max(guess, floor_j))
+    else:
+        b_new, g_new = at(floor_j)
+        hi = float(b[j])
+        # short of f_j at the floor: nothing to bisect, the landing rule reports it
+        while g_new[j] >= f_j and hi - b_new[j] >= bracket_tol:
+            mid = 0.5 * (b_new[j] + hi)
+            if not (b_new[j] < mid < hi):
+                break
+            probe, g_mid = at(mid)
+            if g_mid[j] >= f_j:
+                b_new, g_new = probe, g_mid
+            else:
+                hi = mid
+    g_j = float(g_new[j])
+    if g_j < f_j and b_new[j] == floor_j:
         raise FloorReached(
-            f"G[{j}] at floor {floor_j!r} is {float(g_lo[j])!r} < f = {f_j!r}; "
+            f"G[{j}] at floor {floor_j!r} is {g_j!r} < f = {f_j!r}; "
             "flooding limit insufficient for this target"
         )
-    hi = float(b[j])
-    while hi - lo[j] >= bracket_tol:
-        mid = 0.5 * (lo[j] + hi)
-        if not (lo[j] < mid < hi):
-            break
-        probe, g_mid = at(mid)
-        if g_mid[j] >= f_j:
-            lo, g_lo = probe, g_mid
-        else:
-            hi = mid
-    if g_lo[j] > f_j + delta:
+    if not f_j <= g_j <= f_j + delta:
         raise QuantizationTooCoarse(
-            f"coordinate {j}: bracket below {bracket_tol!r} with G = {float(g_lo[j])!r} "
+            f"coordinate {j}: G = {g_j!r} at b = {float(b_new[j])!r} "
             f"outside [f, f + delta] = [{f_j!r}, {f_j + delta!r}]; refine the grid or relax epsilon"
         )
-    return lo, g_lo, calls, True
+    return b_new, g_new, calls, True
 
 
 def solve(spec: MonotoneOracleSpec, f, b_start, delta: float, floors=None, crossing=None,
@@ -268,7 +270,7 @@ def solve_refractor(scene: Scene, grid, epsilon: Optional[float] = None,
     """
     f_values = scene.intensity.values(grid)
     energies = node_energies(grid, f_values)
-    total = total_energy(grid, f_values)
+    total = float(np.sum(energies))
     g = target_weights(scene, grid, f_values)
     n = scene.n_targets
 

@@ -367,10 +367,14 @@ def _canonical_dict():
     return json.loads(pathlib.Path(CANONICAL).read_text())
 
 
-def _set(d, path, value):
-    for key in path[:-1]:
+def _get(d, path):
+    for key in path:
         d = d[key]
-    d[path[-1]] = value
+    return d
+
+
+def _set(d, path, value):
+    _get(d, path[:-1])[path[-1]] = value
 
 
 @pytest.mark.parametrize("path, value", [
@@ -379,6 +383,10 @@ def _set(d, path, value):
     (("intensity", "amplitude"), float("inf")),
     (("targets", 2, "point", 1), float("inf")),
     (("normalize_weights",), "no"),
+    (("kappa",), "0.3"),               # a string or boolean is no number,
+    (("cap", "half_angle_deg"), "10"),  # whatever float() makes of it
+    (("targets", 0, "weight"), True),
+    (("cap", "axis", 2), True),
 ])
 def test_non_finite_or_non_boolean_scene_field_exits_2(tmp_path, capsys, path, value):
     d = _canonical_dict()
@@ -494,7 +502,8 @@ def _run(argv):
 
 @settings(max_examples=200, deadline=None)
 @given(d=scene_dicts(), command=st.sampled_from(["validate", "solve", "trace", "mesh"]),
-       fault=st.sampled_from(["none", "non-finite", "extreme", "missing-dir", "huge"]),
+       fault=st.sampled_from(["none", "non-finite", "extreme", "non-number", "missing-dir",
+                              "huge"]),
        size=st.integers(8, 32), eps_rel=st.floats(0.02, 0.3), data=st.data())
 def test_cli_exit_code_contract(tmp_path_factory, d, command, fault, size, eps_rel, data):
     work = tmp_path_factory.mktemp("contract")
@@ -511,10 +520,11 @@ def test_cli_exit_code_contract(tmp_path_factory, d, command, fault, size, eps_r
     b_file = work / "b.json"
     b_file.write_text(json.dumps(b))
 
-    if fault in ("non-finite", "extreme"):
+    if fault in ("non-finite", "extreme", "non-number"):
         path = data.draw(st.sampled_from(_number_paths(d)))
-        values = (NON_FINITE if fault == "non-finite"
-                  else LARGE + (TINY if isinstance(path[-1], str) else ()))
+        values = {"non-finite": NON_FINITE,
+                  "extreme": LARGE + (TINY if isinstance(path[-1], str) else ()),
+                  "non-number": (str(_get(d, path)), True)}[fault]
         _set(d, path, data.draw(st.sampled_from(values)))
     scene = work / "scene.json"
     scene.write_text(json.dumps(d))

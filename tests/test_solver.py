@@ -130,26 +130,65 @@ def test_adjust_lands_at_crossing_in_one_call():
     assert proposed[0][1:] == (1, 0.35)
 
 
-@pytest.mark.parametrize("guess, checked", [
-    (None, False),        # no proposal
-    (-0.1, False),        # below the floor
-    (1.0, False),         # not below b_j
-    (0.9, True),          # G_1 = 0.1, short of f_j
-    (0.5, True),          # G_1 = 0.5, above f_j + delta
-    (0.65 + 1e-9, True),  # G_1 just short of f_j
+def _counting(evaluate):
+    calls = []
+
+    def oracle(bb):
+        calls.append(bb.copy())
+        return evaluate(bb)
+
+    return oracle, calls
+
+
+@pytest.mark.parametrize("guess", [
+    None,          # no proposal: the floor, G_1 = 1.0 above f_j + delta
+    -0.1,          # below the floor: clipped to it, likewise
+    1.0,           # not below b_j: G_1 = 0.0, short of f_j
+    0.9,           # G_1 = 0.1, short of f_j above the floor
+    0.5,           # G_1 = 0.5, above f_j + delta
+    0.65 + 1e-9,   # G_1 just short of f_j
 ])
-def test_adjust_falls_back_to_bisection(guess, checked):
-    """A proposal outside [floor_j, b_j) costs nothing; one that misses the
-    band costs its check. Either way bisection then lands as without it."""
+def test_adjust_crossing_miss_is_final(guess):
+    """A proposal costs exactly one call, at the proposal clipped to the floor
+    (at the floor when there is none); one that misses the band is not
+    retried by bisection but raises."""
     spec = separable_spec([1.0, 1.0], total=1.0)
     b = np.array([0.5, 1.0])
-    g = spec.evaluate(b)
-    plain = adjust_coordinate(spec.evaluate, 1, b, g, f_j=0.35, delta=1e-6, floor_j=0.0)
-    got = adjust_coordinate(spec.evaluate, 1, b, g, f_j=0.35, delta=1e-6, floor_j=0.0,
-                            crossing=lambda bb, j, f_j: guess)
-    assert np.array_equal(got[0], plain[0])
-    assert np.array_equal(got[1], plain[1]) and got[3] is True
-    assert got[2] == plain[2] + checked
+    oracle, calls = _counting(spec.evaluate)
+    with pytest.raises(QuantizationTooCoarse, match="coordinate 1: G = "):
+        adjust_coordinate(oracle, 1, b, spec.evaluate(b), f_j=0.35, delta=1e-6, floor_j=0.0,
+                          crossing=lambda bb, j, f_j: guess)
+    assert len(calls) == 1
+    assert calls[0][1] == (0.0 if guess is None else max(guess, 0.0))
+
+
+def test_adjust_clips_crossing_to_floor_in_gap():
+    """A step oracle is flat on its gap [0.4, 0.7), where G_1 = 0.36 lies in
+    the band. A proposal below a floor inside that gap lands at the floor,
+    which gives the same G, in one call."""
+    def evaluate(bb):
+        g1 = 0.0 if bb[1] >= 0.7 else (0.36 if bb[1] >= 0.4 else 1.0)
+        return np.array([1.0 - g1, g1])
+
+    b = np.array([0.5, 1.0])
+    oracle, calls = _counting(evaluate)
+    b_new, g_new, evals, changed = adjust_coordinate(
+        oracle, 1, b, evaluate(b), f_j=0.35, delta=0.02, floor_j=0.5,
+        crossing=lambda bb, j, f_j: 0.45)
+    assert changed and evals == 1 and len(calls) == 1
+    assert b_new[1] == 0.5 and g_new[1] == 0.36
+
+
+@pytest.mark.parametrize("guess", [None, -0.1])
+def test_adjust_crossing_floor_reached(guess):
+    """With f_j beyond the flooding limit, the one call at the floor shows it."""
+    spec = separable_spec([1.0, 0.3], total=1.0)   # G_1 <= 0.3 < f_j
+    b = np.array([0.5, 1.0])
+    oracle, calls = _counting(spec.evaluate)
+    with pytest.raises(FloorReached, match="at floor 0.0"):
+        adjust_coordinate(oracle, 1, b, spec.evaluate(b), f_j=0.35, delta=1e-3, floor_j=0.0,
+                          crossing=lambda bb, j, f_j: guess)
+    assert len(calls) == 1
 
 
 def test_adjust_rejects_membership_violation():
