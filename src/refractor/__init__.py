@@ -14,7 +14,6 @@ from .measure import (
     flood_vector,
     refractor_measure,
     rho,
-    total_energy,
     write_obj,
 )
 from .oval import (

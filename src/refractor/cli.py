@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,7 @@ def run_solve(args) -> int:
         "oracle_evaluations": trace.total_evals,
         "lipschitz_estimate": trace.lipschitz_estimate,
         "group_bound": trace.group_bound,
+        "warm_start": asdict(sol.warm_start) if sol.warm_start else None,
         "bound_supported": sol.bound_supported,
         "converged": bool(trace.converged),
         "wall_time": wall,

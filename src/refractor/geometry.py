@@ -110,11 +110,14 @@ def build_quadrature(cap: CapDomain, n_theta: int, n_phi: int) -> QuadratureGrid
     dphi = 2.0 * np.pi / n_phi
     theta_1d = (np.arange(n_theta) + 0.5) * dtheta
     phi_1d = (np.arange(n_phi) + 0.5) * dphi
-    # theta-major: all azimuths of ring 0, then ring 1, ...
+    # theta-major: all azimuths of ring 0, then ring 1, ... The sines and
+    # cosines are taken once per ring and once per azimuth and broadcast:
+    # each node's arithmetic is unchanged, so the values are bitwise those
+    # of evaluating every node on its own
     thetas = np.repeat(theta_1d, n_phi)
     phis = np.tile(phi_1d, n_theta)
-    nodes = dir_from_spherical(thetas, phis, cap)
-    weights = np.sin(thetas) * dtheta * dphi
+    nodes = dir_from_spherical(theta_1d[:, None], phi_1d, cap).reshape(-1, 3)
+    weights = np.repeat(np.sin(theta_1d) * dtheta * dphi, n_phi)
     return QuadratureGrid(
         cap=cap, n_theta=n_theta, n_phi=n_phi,
         nodes=nodes, weights=weights, thetas=thetas, phis=phis,

@@ -93,11 +93,6 @@ def node_energies(grid: QuadratureGrid, f_values: np.ndarray) -> np.ndarray:
     return np.asarray(f_values, dtype=float) * grid.weights
 
 
-def total_energy(grid: QuadratureGrid, f_values) -> float:
-    """Total discrete source energy sum_k f_k * w_k."""
-    return float(np.sum(node_energies(grid, np.asarray(f_values, dtype=float))))
-
-
 def refractor_measure(scene: Scene, b, grid: QuadratureGrid, f_values) -> MeasureVector:
     """Per-target refracted energy H_i(b) = sum of f*w over cell i.
 

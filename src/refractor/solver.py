@@ -18,6 +18,11 @@ carries G at its current point from step to step, so a step that changes
 nothing costs no call. The refractor binding passes MeasureOracle.crossing.
 
 The first coordinate is never adjusted; it anchors the family.
+
+solve_refractor starts the descent from the solve on the half grid wherever
+that grid passes the node-energy guard, raised just enough to be a member
+(_shift_into_membership); elsewhere it starts from the all-into-cell-1
+vector.
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .geometry import build_quadrature
 from .measure import MeasureOracle, node_energies, write_rows
 from .scene import (
     Scene,
+    SceneValidationError,
     admissible_bounds,
     alpha_bound,
     initial_admissible_vector,
@@ -67,6 +74,7 @@ class MonotoneOracleSpec:
 
 BRACKET_TOL = 1e-9   # bisection stops once its bracket is narrower than this
 MAX_GROUPS = 10000   # group budget of a solve
+SHIFT_SCALE = 4.0    # a warm start's first shift is this many overshoots over the coarse rate
 
 
 @dataclass
@@ -244,6 +252,18 @@ def estimate_lipschitz(spec_or_fn, lower, upper, t_probe, n_samples=32, seed=0, 
 
 # --- binding to the refractor measure ----------------------------------------
 
+@dataclass(frozen=True)
+class WarmStart:
+    """Where a warm-started descent began: the half grid's solve, then a shift."""
+
+    grid: tuple              # (n_theta, n_phi) of the coarse level
+    groups_used: int         # the coarse descent's groups
+    oracle_evaluations: int  # and its oracle calls
+    shift: float             # s added to b_2..b_N of the coarse b, each capped at the cold start
+    shift_trials: int        # calls on this grid's oracle before the descent
+    warm_start: Optional["WarmStart"]  # the coarse level's own start; None when cold
+
+
 @dataclass(frozen=True, eq=False)
 class RefractorSolution:
     b: np.ndarray
@@ -254,7 +274,8 @@ class RefractorSolution:
     epsilon: float
     delta: float
     total: float
-    trace: SolverTrace
+    trace: SolverTrace  # the descent on this grid alone
+    warm_start: Optional[WarmStart]
     bound_supported: bool
 
 
@@ -264,9 +285,11 @@ def solve_refractor(scene: Scene, grid, epsilon: Optional[float] = None,
 
     Binds the abstract solver to the refractor measure: the absolute
     tolerance epsilon (default 1e-3 times the total source energy) gives the
-    band delta = epsilon / N, floors at kappa|P_i| + alpha, start from the
-    all-into-cell-1 vector, flooding limits equal to the total source energy,
-    and each step proposed by the oracle's closed-form crossing.
+    band delta = epsilon / N, floors at kappa|P_i| + alpha, flooding limits
+    equal to the total source energy, and each step proposed by the oracle's
+    closed-form crossing. The descent starts warm from the half grid's solve
+    where that grid passes the node-energy guard at this delta, else from the
+    all-into-cell-1 vector (_descend).
     """
     f_values = scene.intensity.values(grid)
     energies = node_energies(grid, f_values)
@@ -282,27 +305,57 @@ def solve_refractor(scene: Scene, grid, epsilon: Optional[float] = None,
             f"delta = {delta!r} must stay below g_1/(N-1) = {float(g[0]) / (n - 1)!r}; "
             "shrink epsilon"
         )
-    # landing guarantee: a discrete step of H_j must not straddle the whole
-    # band [f_j, f_j + delta]; irrelevant when nothing is adjustable
-    e_max = float(np.max(energies))
-    if n > 1 and e_max > delta / 4.0:
+    if not _fine_enough(energies, delta, n):
         raise QuantizationTooCoarse(
-            f"largest single-node energy {e_max!r} exceeds delta/4 = {delta / 4.0!r}; "
-            "refine the grid or relax epsilon"
+            f"largest single-node energy {float(np.max(energies))!r} exceeds "
+            f"delta/4 = {delta / 4.0!r}; refine the grid or relax epsilon"
         )
 
+    b_final, trace, warm, _, oracle = _descend(scene, grid, energies, g, delta, max_groups)
+    # the held G(b_final) is the oracle's answer there, bitwise refractor_measure's
+    H = trace.g_final
+    return RefractorSolution(
+        b=b_final, H=H, labels=oracle.labels(b_final), g=g, residuals=np.abs(H - g),
+        epsilon=epsilon, delta=delta, total=total, trace=trace, warm_start=warm,
+        bound_supported=structurally_supported(validate_structural(scene)),
+    )
+
+
+def _fine_enough(energies, delta: float, n: int) -> bool:
+    """The landing guarantee: a discrete step of H_j must not straddle the
+    whole band [f_j, f_j + delta]; irrelevant when nothing is adjustable."""
+    return n == 1 or float(np.max(energies)) <= delta / 4.0
+
+
+def _descend(scene: Scene, grid, energies, g, delta: float, max_groups: int):
+    """The descent on one grid, started warm where the half grid allows.
+
+    Solves the half grid first (_coarse_level); its b, raised into this
+    grid's membership set, starts the descent here, and otherwise the
+    all-into-cell-1 vector does. The rate M^ is the steepest secant the
+    descent itself met: every changed step raised G_j by more than delta, so
+    2 M^/delta times the room between the start and the floors bounds the
+    groups. Returns (b_final, trace, warm start or None, rate, oracle), where
+    rate is M^, or the coarse level's where this descent met no secant.
+    """
+    n = scene.n_targets
     lower, upper = admissible_bounds(scene)
     floors = lower + alpha_bound(scene)
-    b_start = initial_admissible_vector(scene)
+    b_start = b_cold = initial_admissible_vector(scene)
+    warm, rate = None, 0.0
+    coarse = _coarse_level(scene, grid, delta, max_groups)
     oracle = MeasureOracle(scene, grid, energies)
+    if coarse is not None:
+        half, b_coarse, coarse_trace, coarse_warm, rate = coarse
+        b_start, shift, trials = _shift_into_membership(oracle, b_coarse, g, delta, b_cold, rate)
+        warm = WarmStart(grid=half, groups_used=coarse_trace.groups_used,
+                         oracle_evaluations=coarse_trace.total_evals, shift=shift,
+                         shift_trials=trials, warm_start=coarse_warm)
     spec = MonotoneOracleSpec(
-        evaluate=oracle, lower=lower, upper=upper, limits=np.full(n, total)
+        evaluate=oracle, lower=lower, upper=upper, limits=np.full(n, float(np.sum(energies)))
     )
     b_final, trace = solve(spec, g, b_start, delta, floors=floors, crossing=oracle.crossing,
                            max_groups=max_groups)
-    # the rate M^ is the steepest secant the descent itself met: every changed
-    # step raised G_j by more than delta, so 2 M^/delta times the room in b
-    # bounds the groups
     if n > 1:
         trace.lipschitz_estimate = max(
             ((s.g_after - s.g_before) / (s.b_old - s.b_new) for s in trace.steps if s.changed),
@@ -311,14 +364,54 @@ def solve_refractor(scene: Scene, grid, epsilon: Optional[float] = None,
         trace.group_bound = (
             2.0 * trace.lipschitz_estimate / delta * float(np.max(b_start[1:] - floors[1:]))
         )
+        rate = trace.lipschitz_estimate or rate
+    return b_final, trace, warm, rate, oracle
 
-    # the held G(b_final) is the oracle's answer there, bitwise refractor_measure's
-    H = trace.g_final
-    return RefractorSolution(
-        b=b_final, H=H, labels=oracle.labels(b_final), g=g, residuals=np.abs(H - g),
-        epsilon=epsilon, delta=delta, total=total, trace=trace,
-        bound_supported=structurally_supported(validate_structural(scene)),
-    )
+
+def _coarse_level(scene: Scene, grid, delta: float, max_groups: int):
+    """(half grid shape, b_final, trace, warm start, rate) of the descent on
+    the half grid (n_theta // 2, n_phi // 2), or None: with one target, where
+    that grid fails the node-energy guard at delta, and where its solve
+    raises, so that a scene the cold start solves never fails for it. The
+    coarse oracle is dropped on return, before the caller builds its own.
+    """
+    half = (grid.n_theta // 2, grid.n_phi // 2)
+    if scene.n_targets == 1 or min(half) < 2:
+        return None
+    coarse = build_quadrature(scene.cap, *half)
+    f_values = scene.intensity.values(coarse)
+    energies = node_energies(coarse, f_values)
+    if not _fine_enough(energies, delta, scene.n_targets):
+        return None
+    try:
+        g = target_weights(scene, coarse, f_values)
+        return (half, *_descend(scene, coarse, energies, g, delta, max_groups)[:4])
+    except (QuantizationTooCoarse, FloorReached, MaxGroupsExceeded, SceneValidationError):
+        return None
+
+
+def _shift_into_membership(oracle, b, g, delta: float, cap, rate: float):
+    """Raise b_2..b_N of the coarse solution b until it lies in this grid's
+    membership set H_j <= g_j + delta (j >= 2); returns (b_start, shift s,
+    oracle calls).
+
+    The first call is at b itself. While some H_j overshoots g_j + delta,
+    each coordinate becomes min(b_j + s, cap_j): s starts at SHIFT_SCALE
+    times the largest overshoot over rate, the coarse level's rate estimate,
+    and doubles after every call that still overshoots. cap, the cold start
+    vector, is a member, so the doubling ends there at the latest. The last
+    call is at b_start, so the descent's first call finds the oracle's held
+    answer.
+    """
+    trial, s, calls = b, 0.0, 0
+    while True:
+        over = float(np.max(oracle(trial)[1:] - (g[1:] + delta)))
+        calls += 1
+        if over <= 0.0 or np.array_equal(trial, cap):
+            return trial, s, calls
+        s = 2.0 * s if s else (SHIFT_SCALE * over / rate if rate > 0.0 else np.inf)
+        trial = b.copy()
+        trial[1:] = np.minimum(b[1:] + s, cap[1:])
 
 
 def write_convergence_csv(trace: SolverTrace, path) -> None:

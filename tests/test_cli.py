@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from refractor.cli import main
 from refractor.geometry import build_quadrature
-from refractor.measure import total_energy
+from refractor.measure import node_energies
 from refractor.oval import DegenerateNormal, NonPositiveDiscriminant
 from refractor.scene import (
     SceneValidationError,
@@ -34,14 +34,15 @@ SINGLE = str(SCENES / "single.json")
 RESULT_KEYS = [
     "scene", "grid", "epsilon", "delta", "total_energy", "b_final", "H", "g",
     "residuals", "max_residual", "groups_used", "oracle_evaluations",
-    "lipschitz_estimate", "group_bound", "bound_supported", "converged", "wall_time",
+    "lipschitz_estimate", "group_bound", "warm_start", "bound_supported", "converged",
+    "wall_time",
 ]
 
 
 def canonical_epsilon(frac=2e-2):
     scene = load_scene(CANONICAL)
     grid = build_quadrature(scene.cap, 64, 64)
-    return frac * total_energy(grid, scene.intensity.values(grid))
+    return frac * float(np.sum(node_energies(grid, scene.intensity.values(grid))))
 
 
 def solve_canonical_64(tmp_path, tag, extra=()):
@@ -510,7 +511,7 @@ def test_cli_exit_code_contract(tmp_path_factory, d, command, fault, size, eps_r
     sc = scene_from_dict(d)
     lower, upper = admissible_bounds(sc)
     grid = build_quadrature(sc.cap, size, size)
-    total = total_energy(grid, sc.intensity.values(grid))
+    total = float(np.sum(node_energies(grid, sc.intensity.values(grid))))
     # b at and next to the edges of its box (lower, upper]
     edges = [lower, np.nextafter(lower, np.inf), 0.5 * (lower + upper), upper,
              np.nextafter(upper, np.inf)]

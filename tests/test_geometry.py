@@ -130,6 +130,20 @@ def test_build_quadrature_structure():
     assert np.allclose(np.linalg.norm(grid.nodes, axis=1), 1.0, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(axis=unit_axes, half_angle=st.floats(0.01, 1.5), n_theta=st.integers(2, 70),
+       n_phi=st.integers(2, 70))
+def test_build_quadrature_matches_per_node_evaluation(axis, half_angle, n_theta, n_phi):
+    """The grid takes its sines and cosines once per ring and azimuth; its
+    nodes and weights are bitwise those of evaluating every node alone."""
+    cap = CapDomain(axis=axis, half_angle=half_angle)
+    grid = build_quadrature(cap, n_theta, n_phi)
+    nodes = dir_from_spherical(grid.thetas, grid.phis, cap)
+    weights = np.sin(grid.thetas) * (half_angle / n_theta) * (2.0 * np.pi / n_phi)
+    assert grid.nodes.tobytes() == nodes.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
+
+
 def test_build_quadrature_minimum_size():
     with pytest.raises(ValueError):
         build_quadrature(Z_CAP, 1, 8)

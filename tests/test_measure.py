@@ -24,7 +24,6 @@ from refractor.measure import (
     refractor_measure,
     rho,
     surface,
-    total_energy,
     write_label_csv,
     write_obj,
 )
@@ -218,8 +217,8 @@ def test_identical_targets_tie_everywhere(grid64):
 
 def test_total_energy_constant(canonical_scene, grid64):
     ones = np.ones(grid64.n_nodes)
-    assert total_energy(grid64, ones) == grid64.total_weight
-    assert total_energy(grid64, 2.0 * ones) == 2.0 * grid64.total_weight
+    assert float(np.sum(node_energies(grid64, ones))) == grid64.total_weight
+    assert float(np.sum(node_energies(grid64, 2.0 * ones))) == 2.0 * grid64.total_weight
 
 
 def test_total_energy_gaussian_against_quad():
@@ -229,7 +228,7 @@ def test_total_energy_gaussian_against_quad():
     grid = build_quadrature(cap, 512, 8)
     width = np.deg2rad(5.0)
     spec = IntensitySpec(kind="axial-gaussian", amplitude=2.0, width=width)
-    got = total_energy(grid, spec.values(grid))
+    got = float(np.sum(node_energies(grid, spec.values(grid))))
     oracle, err = scipy.integrate.quad(
         lambda t: 2.0 * np.exp(-((t / width) ** 2)) * np.sin(t),
         0.0, cap.half_angle)
@@ -246,7 +245,7 @@ def test_measure_partitions_total(canonical_scene, b_init, grid64, rng):
         b = lower + (b_init - lower) * rng.uniform(0.05, 1.0, size=4)
         mv = refractor_measure(canonical_scene, b, grid64, f)
         assert float(np.sum(mv.H)) == mv.total
-        assert abs(mv.total - total_energy(grid64, f)) < float(np.min(e)) / 2.0
+        assert abs(mv.total - float(np.sum(node_energies(grid64, f)))) < float(np.min(e)) / 2.0
         assert np.all(mv.H >= 0.0)
 
 
@@ -504,7 +503,7 @@ def test_crossing_matches_reference_on_tie_scene(tie_case):
     scene, grid = tie_case
     f = np.ones(grid.n_nodes)
     oracle = MeasureOracle(scene, grid, node_energies(grid, f))
-    g = np.full(3, total_energy(grid, f) / 3.0)
+    g = np.full(3, float(np.sum(node_energies(grid, f))) / 3.0)
     b = np.array([1.6, 1.5958, 1.5955])
     for k, bj in ((0, 1.6), (1, 1.5955), (2, 1.5951), (1, 1.5951), (2, 1.5955), (1, 1.5958)):
         b[k] = bj

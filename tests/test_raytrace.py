@@ -16,11 +16,12 @@ from refractor.geometry import (
     dir_from_spherical,
     normalize,
 )
-from refractor.measure import ROWS_PER_WRITE, surface, total_energy, write_json
+from refractor.measure import ROWS_PER_WRITE, node_energies, surface, write_json
 from refractor.oval import OvalParams, oval_extrema
 from refractor.raytrace import (
     TotalInternalReflection,
     TransportReport,
+    _line_point_distance,
     _refract_batch,
     crease_mask,
     trace_ray,
@@ -33,6 +34,19 @@ from refractor.solver import solve_refractor
 
 
 # --- single rays ----------------------------------------------------------------
+
+def test_line_point_distance_matches_numpy(rng):
+    """The componentwise distance is bitwise the norm of np.cross, for a
+    batch of lines and for one line alone."""
+    origin = rng.normal(size=(2000, 3)) * 3.0
+    direction = rng.normal(size=(2000, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    point = rng.normal(size=3) * 5.0
+    got = _line_point_distance(origin, direction, point)
+    want = np.linalg.norm(np.cross(point - origin, direction), axis=-1)
+    assert got.tobytes() == want.tobytes()
+    assert _line_point_distance(origin[7], direction[7], point) == want[7]
+
 
 def test_trace_ray_single_target(single_scene):
     rec = trace_ray(single_scene, [single_scene.b1], [0.0, 0.0, 1.0])
@@ -195,7 +209,7 @@ def test_transport_zero_tolerance(canonical_scene, grid64):
 
 def test_transport_solved_vector(canonical_scene, grid64):
     f_values = canonical_scene.intensity.values(grid64)
-    total = total_energy(grid64, f_values)
+    total = float(np.sum(node_energies(grid64, f_values)))
     sol = solve_refractor(canonical_scene, grid64, epsilon=2e-2 * total)
     rep = validate_transport(canonical_scene, sol.b, grid64)
     assert 0 < rep.n_crease < rep.n_rays // 2

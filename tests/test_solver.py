@@ -6,6 +6,8 @@ binding, whose steps land at the oracle's closed-form crossing, is then
 exercised on small grids.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from refractor.measure import (
     assign_cells,
     node_energies,
     refractor_measure,
-    total_energy,
 )
 from refractor.scene import (
     IntensitySpec,
@@ -29,6 +30,7 @@ from refractor.scene import (
 )
 from refractor.solver import (
     BRACKET_TOL,
+    SHIFT_SCALE,
     FloorReached,
     MaxGroupsExceeded,
     MonotoneOracleSpec,
@@ -356,7 +358,7 @@ def test_lipschitz_respects_hard_lower():
 
 def test_solve_refractor_canonical_coarse(canonical_scene, grid64):
     f_values = canonical_scene.intensity.values(grid64)
-    total = total_energy(grid64, f_values)
+    total = float(np.sum(node_energies(grid64, f_values)))
     sol = solve_refractor(canonical_scene, grid64, epsilon=2e-2 * total)
 
     assert sol.trace.converged
@@ -407,7 +409,8 @@ def test_solve_refractor_oracle_replay_bitwise(scene_name, eps_rel, canonical_sc
             return H
 
     monkeypatch.setattr(solver_module, "MeasureOracle", Recording)
-    sol = solve_refractor(scene, grid, epsilon=eps_rel * total_energy(grid, f_values))
+    sol = solve_refractor(scene, grid,
+                          epsilon=eps_rel * float(np.sum(node_energies(grid, f_values))))
     assert sol.trace.converged and sol.trace.groups_used >= 1
     assert len(calls) == sol.trace.total_evals
     assert sol.trace.total_evals == 1 + sum(s.oracle_evals for s in sol.trace.steps)
@@ -432,7 +435,7 @@ def test_solve_refractor_relabels_every_node_once(canonical_scene, grid64, monke
     monkeypatch.setattr(solver_module, "MeasureOracle", Recording)
     f_values = canonical_scene.intensity.values(grid64)
     sol = solve_refractor(canonical_scene, grid64,
-                          epsilon=2e-2 * total_energy(grid64, f_values))
+                          epsilon=2e-2 * float(np.sum(node_energies(grid64, f_values))))
     changed = [s for s in sol.trace.steps if s.changed]
     assert changed and all(s.oracle_evals == 1 for s in changed)
     (oracle,) = oracles
@@ -486,7 +489,7 @@ def test_solve_refractor_mirror_pair(mirror_scene):
     energies agree to within twice the largest node energy."""
     grid = build_quadrature(mirror_scene.cap, 128, 128)
     f_values = mirror_scene.intensity.values(grid)
-    total = total_energy(grid, f_values)
+    total = float(np.sum(node_energies(grid, f_values)))
     sol = solve_refractor(mirror_scene, grid, epsilon=1e-2 * total)
     assert sol.trace.converged
     assert float(np.max(sol.residuals)) <= sol.epsilon
@@ -522,6 +525,145 @@ def test_canonical_256_steps_land_in_closed_form(solution256):
     assert trace.total_evals == sum(s.oracle_evals for s in trace.steps) + 1
 
 
+# --- warm start from the half grid ---------------------------------------------------
+
+def _epsilon(scene, grid, frac):
+    return frac * float(np.sum(node_energies(grid, scene.intensity.values(grid))))
+
+
+def _cold_solve(scene, grid, epsilon):
+    """(b_final, trace) of the descent from the all-into-cell-1 vector on a
+    fresh oracle, with solve_refractor's band, floors and crossing."""
+    f_values = scene.intensity.values(grid)
+    e = node_energies(grid, f_values)
+    lower, upper = admissible_bounds(scene)
+    oracle = MeasureOracle(scene, grid, e)
+    spec = MonotoneOracleSpec(evaluate=oracle, lower=lower, upper=upper,
+                              limits=np.full(scene.n_targets, float(np.sum(e))))
+    return solve(spec, target_weights(scene, grid, f_values), initial_admissible_vector(scene),
+                 epsilon / scene.n_targets, floors=lower + alpha_bound(scene),
+                 crossing=oracle.crossing)
+
+
+def test_half_grid_failing_the_guard_starts_cold(canonical_scene, grid64):
+    """At 2e-2 of the total a 32x32 node holds more than delta/4, so the
+    64x64 solve starts from the all-into-cell-1 vector: bitwise the descent
+    that solve runs from initial_admissible_vector."""
+    eps = _epsilon(canonical_scene, grid64, 2e-2)
+    half = build_quadrature(canonical_scene.cap, 32, 32)
+    e_half = node_energies(half, canonical_scene.intensity.values(half))
+    assert float(np.max(e_half)) > eps / canonical_scene.n_targets / 4.0
+    sol = solve_refractor(canonical_scene, grid64, epsilon=eps)
+    b_cold, trace = _cold_solve(canonical_scene, grid64, eps)
+    assert sol.warm_start is None
+    assert sol.b.tobytes() == b_cold.tobytes()
+    assert (sol.trace.groups_used, sol.trace.total_evals) == (trace.groups_used, trace.total_evals)
+
+
+@pytest.mark.parametrize("exc", [QuantizationTooCoarse, FloorReached, MaxGroupsExceeded])
+def test_coarse_level_failure_falls_back_to_cold_start(exc, mirror_scene, monkeypatch):
+    """The mirror pair at 128x128 and 1e-2 of the total starts warm from
+    64x64. When that coarse descent raises a solver exception, the solve
+    starts cold instead and ends bitwise where the cold descent does."""
+    grid = build_quadrature(mirror_scene.cap, 128, 128)
+    eps = _epsilon(mirror_scene, grid, 1e-2)
+    warm = solve_refractor(mirror_scene, grid, epsilon=eps).warm_start
+    assert warm is not None and warm.grid == (64, 64) and warm.warm_start is None
+
+    real, specs = solver_module.solve, []
+
+    def coarse_fails(spec, *args, **kwargs):
+        specs.append(spec)
+        if len(specs) == 1:
+            raise exc("coarse level")
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve", coarse_fails)
+    sol = solve_refractor(mirror_scene, grid, epsilon=eps)
+    monkeypatch.undo()
+    b_cold, trace = _cold_solve(mirror_scene, grid, eps)
+    assert len(specs) == 2 and sol.warm_start is None
+    assert sol.b.tobytes() == b_cold.tobytes()
+    assert sol.trace.total_evals == trace.total_evals
+
+
+def test_warm_start_oracles(mirror_scene, monkeypatch):
+    """A warm solve builds the coarse oracle, drops it, then builds the fine
+    one. Every answer of either is bitwise the fresh measure on its grid. The
+    fine oracle answers the shift trials and then the descent, whose start
+    call repeats the last trial's b and finds the held answer: no relabel."""
+    grid = build_quadrature(mirror_scene.cap, 128, 128)
+    eps = _epsilon(mirror_scene, grid, 1e-2)
+    refs, alive, calls = [], [], []
+
+    class Recording(MeasureOracle):
+        def __init__(self, scene, grid, energies):
+            alive.append(sum(r() is not None for r in refs))
+            super().__init__(scene, grid, energies)
+            self.grid, self.calls = grid, []
+            refs.append(weakref.ref(self))
+            calls.append(self.calls)
+
+        def __call__(self, b):
+            H = super().__call__(b)
+            self.calls.append((np.array(b, dtype=float), H.copy(), self.full_relabels))
+            return H
+
+    monkeypatch.setattr(solver_module, "MeasureOracle", Recording)
+    sol = solve_refractor(mirror_scene, grid, epsilon=eps)
+    warm = sol.warm_start
+    assert alive == [0, 0]
+    coarse_calls, fine_calls = calls
+    assert len(coarse_calls) == warm.oracle_evaluations
+    assert len(fine_calls) == warm.shift_trials + sol.trace.total_evals
+    (b_trial, H_trial, relabels), (b_start, H_start, relabels_start) = \
+        fine_calls[warm.shift_trials - 1:warm.shift_trials + 1]
+    assert np.array_equal(b_trial, b_start) and np.array_equal(H_trial, H_start)
+    assert relabels_start == relabels
+    f_values = mirror_scene.intensity.values(grid)
+    half = build_quadrature(mirror_scene.cap, *warm.grid)
+    for g_calls, g_grid in ((coarse_calls, half), (fine_calls, grid)):
+        f_g = mirror_scene.intensity.values(g_grid)
+        for b, H, _ in g_calls:
+            assert np.array_equal(H, refractor_measure(mirror_scene, b, g_grid, f_g).H), b
+    assert np.array_equal(sol.H, refractor_measure(mirror_scene, sol.b, grid, f_values).H)
+
+
+def test_shift_doubles_up_to_the_cold_vector():
+    """An oracle that overshoots by 2**-7 everywhere below the cap: the shift
+    starts at SHIFT_SCALE * 2**-7 / rate and doubles, each coordinate capped
+    on its own, until every coordinate sits at the cap, a member."""
+    g, delta = np.array([0.5, 0.25, 0.25]), 0.0625
+    cap = np.array([1.0, 1.0, 0.8])
+    calls = []
+
+    def oracle(b):
+        b = np.array(b, dtype=float)
+        calls.append(b)
+        H = g.copy()
+        if np.any(b < cap):
+            H[1:] += delta + 2.0 ** -7
+        return H
+
+    b = np.array([1.0, 0.5, 0.7])
+    b_start, s, trials = solver_module._shift_into_membership(oracle, b, g, delta, cap, 1.0)
+    s0 = SHIFT_SCALE * 2.0 ** -7
+    shifts = [s0 * 2.0 ** k for k in range(trials - 1)]
+    assert np.array_equal(b_start, cap) and s == shifts[-1] == 0.5
+    assert trials == len(calls) == 6
+    assert np.array_equal(calls[0], b)
+    for probe, shift in zip(calls[1:], shifts):
+        assert np.array_equal(probe, [1.0, min(0.5 + shift, 1.0), min(0.7 + shift, 0.8)])
+    assert calls[3][2] == 0.8 and calls[3][1] < 1.0   # coordinate 3 reaches its cap first
+
+    calls.clear()   # no rate: straight to the cap
+    b_start, s, trials = solver_module._shift_into_membership(oracle, b, g, delta, cap, 0.0)
+    assert np.array_equal(b_start, cap) and s == np.inf and trials == 2
+    calls.clear()   # already a member: no shift
+    b_start, s, trials = solver_module._shift_into_membership(oracle, cap, g, delta, cap, 1.0)
+    assert np.array_equal(b_start, cap) and s == 0.0 and trials == 1
+
+
 def _first_step(scene, grid, f_j, delta, b):
     """The closed-form step of coordinate 1 and a bisection down to one ulp,
     each on a fresh oracle first called at b."""
@@ -545,7 +687,7 @@ def test_crossing_on_mirror_split(mirror_scene):
     grid = build_quadrature(mirror_scene.cap, 128, 128)
     f_values = mirror_scene.intensity.values(grid)
     g = target_weights(mirror_scene, grid, f_values)
-    delta = 1e-2 * total_energy(grid, f_values) / 2
+    delta = 1e-2 * float(np.sum(node_energies(grid, f_values))) / 2
     b = initial_admissible_vector(mirror_scene)
     closed, bisected = _first_step(mirror_scene, grid, float(g[1]), delta, b)
     assert closed[2] == 1 and closed[3]
@@ -566,7 +708,7 @@ def test_crossing_with_tied_switch_values():
                   intensity=IntensitySpec(kind="constant", amplitude=1.0),
                   tau=0.2, r0=0.5, b1=1.6)
     grid = build_quadrature(cap, 24, 16)
-    total = total_energy(grid, np.ones(grid.n_nodes))
+    total = float(np.sum(node_energies(grid, np.ones(grid.n_nodes))))
     b = np.array([1.6, 1.5])            # cell 1 holds the whole cap
     for frac in (0.37, 0.6):
         closed, bisected = _first_step(scene, grid, frac * total, 0.1 * total, b)
