@@ -48,6 +48,7 @@ from .scene import (
 )
 from .snell import RefractionResult, critical_cos, refract
 from .solver import (
+    DeltaAboveCap,
     FloorReached,
     MaxGroupsExceeded,
     MonotoneOracleSpec,

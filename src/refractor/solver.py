@@ -19,10 +19,10 @@ nothing costs no call. The refractor binding passes MeasureOracle.crossing.
 
 The first coordinate is never adjusted; it anchors the family.
 
-solve_refractor starts the descent from the solve on the half grid wherever
-that grid passes the node-energy guard, raised just enough to be a member
-(_shift_into_membership); elsewhere it starts from the all-into-cell-1
-vector.
+solve_refractor starts the descent from solve_refractor on the half grid at
+the same epsilon, raised just enough to be a member (_shift_into_membership);
+where the half grid is refused (the delta cap, the node-energy guard) or its
+solve fails, it starts from the all-into-cell-1 vector.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ from .scene import (
     target_weights,
     validate_structural,
 )
+
+
+class DeltaAboveCap(ValueError):
+    """delta = epsilon / N is not below g_1 / (N - 1): epsilon is too loose."""
 
 
 class QuantizationTooCoarse(Exception):
@@ -287,9 +291,12 @@ def solve_refractor(scene: Scene, grid, epsilon: Optional[float] = None,
     tolerance epsilon (default 1e-3 times the total source energy) gives the
     band delta = epsilon / N, floors at kappa|P_i| + alpha, flooding limits
     equal to the total source energy, and each step proposed by the oracle's
-    closed-form crossing. The descent starts warm from the half grid's solve
-    where that grid passes the node-energy guard at this delta, else from the
-    all-into-cell-1 vector (_descend).
+    closed-form crossing. The descent starts from solve_refractor on the half
+    grid at this epsilon, raised into this grid's membership set, or from the
+    all-into-cell-1 vector where that solve is refused or fails
+    (_coarse_level). Its rate M^ is the steepest secant it met: each changed
+    step raised G_j by more than delta, so 2 M^/delta times the room from
+    start to floors bounds the groups.
     """
     f_values = scene.intensity.values(grid)
     energies = node_energies(grid, f_values)
@@ -301,59 +308,32 @@ def solve_refractor(scene: Scene, grid, epsilon: Optional[float] = None,
         epsilon = 1e-3 * total
     delta = epsilon / n
     if n > 1 and not (delta < g[0] / (n - 1)):
-        raise ValueError(
+        raise DeltaAboveCap(
             f"delta = {delta!r} must stay below g_1/(N-1) = {float(g[0]) / (n - 1)!r}; "
             "shrink epsilon"
         )
-    if not _fine_enough(energies, delta, n):
+    # the landing guarantee: a discrete step of H_j must not straddle the
+    # whole band [g_j, g_j + delta]; irrelevant when nothing is adjustable
+    if n > 1 and float(np.max(energies)) > delta / 4.0:
         raise QuantizationTooCoarse(
             f"largest single-node energy {float(np.max(energies))!r} exceeds "
             f"delta/4 = {delta / 4.0!r}; refine the grid or relax epsilon"
         )
 
-    b_final, trace, warm, _, oracle = _descend(scene, grid, energies, g, delta, max_groups)
-    # the held G(b_final) is the oracle's answer there, bitwise refractor_measure's
-    H = trace.g_final
-    return RefractorSolution(
-        b=b_final, H=H, labels=oracle.labels(b_final), g=g, residuals=np.abs(H - g),
-        epsilon=epsilon, delta=delta, total=total, trace=trace, warm_start=warm,
-        bound_supported=structurally_supported(validate_structural(scene)),
-    )
-
-
-def _fine_enough(energies, delta: float, n: int) -> bool:
-    """The landing guarantee: a discrete step of H_j must not straddle the
-    whole band [f_j, f_j + delta]; irrelevant when nothing is adjustable."""
-    return n == 1 or float(np.max(energies)) <= delta / 4.0
-
-
-def _descend(scene: Scene, grid, energies, g, delta: float, max_groups: int):
-    """The descent on one grid, started warm where the half grid allows.
-
-    Solves the half grid first (_coarse_level); its b, raised into this
-    grid's membership set, starts the descent here, and otherwise the
-    all-into-cell-1 vector does. The rate M^ is the steepest secant the
-    descent itself met: every changed step raised G_j by more than delta, so
-    2 M^/delta times the room between the start and the floors bounds the
-    groups. Returns (b_final, trace, warm start or None, rate, oracle), where
-    rate is M^, or the coarse level's where this descent met no secant.
-    """
-    n = scene.n_targets
     lower, upper = admissible_bounds(scene)
     floors = lower + alpha_bound(scene)
     b_start = b_cold = initial_admissible_vector(scene)
-    warm, rate = None, 0.0
-    coarse = _coarse_level(scene, grid, delta, max_groups)
+    half = (grid.n_theta // 2, grid.n_phi // 2)
+    coarse = _coarse_level(scene, half, epsilon, max_groups)
     oracle = MeasureOracle(scene, grid, energies)
+    warm = None
     if coarse is not None:
-        half, b_coarse, coarse_trace, coarse_warm, rate = coarse
-        b_start, shift, trials = _shift_into_membership(oracle, b_coarse, g, delta, b_cold, rate)
-        warm = WarmStart(grid=half, groups_used=coarse_trace.groups_used,
-                         oracle_evaluations=coarse_trace.total_evals, shift=shift,
-                         shift_trials=trials, warm_start=coarse_warm)
-    spec = MonotoneOracleSpec(
-        evaluate=oracle, lower=lower, upper=upper, limits=np.full(n, float(np.sum(energies)))
-    )
+        b_start, shift, trials = _shift_into_membership(
+            oracle, coarse.b, g, delta, b_cold, coarse.trace.lipschitz_estimate)
+        warm = WarmStart(grid=half, groups_used=coarse.trace.groups_used,
+                         oracle_evaluations=coarse.trace.total_evals, shift=shift,
+                         shift_trials=trials, warm_start=coarse.warm_start)
+    spec = MonotoneOracleSpec(evaluate=oracle, lower=lower, upper=upper, limits=np.full(n, total))
     b_final, trace = solve(spec, g, b_start, delta, floors=floors, crossing=oracle.crossing,
                            max_groups=max_groups)
     if n > 1:
@@ -364,29 +344,28 @@ def _descend(scene: Scene, grid, energies, g, delta: float, max_groups: int):
         trace.group_bound = (
             2.0 * trace.lipschitz_estimate / delta * float(np.max(b_start[1:] - floors[1:]))
         )
-        rate = trace.lipschitz_estimate or rate
-    return b_final, trace, warm, rate, oracle
+    # the held G(b_final) is the oracle's answer there, bitwise refractor_measure's
+    H = trace.g_final
+    return RefractorSolution(
+        b=b_final, H=H, labels=oracle.labels(b_final), g=g, residuals=np.abs(H - g),
+        epsilon=epsilon, delta=delta, total=total, trace=trace, warm_start=warm,
+        bound_supported=structurally_supported(validate_structural(scene)),
+    )
 
 
-def _coarse_level(scene: Scene, grid, delta: float, max_groups: int):
-    """(half grid shape, b_final, trace, warm start, rate) of the descent on
-    the half grid (n_theta // 2, n_phi // 2), or None: with one target, where
-    that grid fails the node-energy guard at delta, and where its solve
-    raises, so that a scene the cold start solves never fails for it. The
-    coarse oracle is dropped on return, before the caller builds its own.
-    """
-    half = (grid.n_theta // 2, grid.n_phi // 2)
+def _coarse_level(scene: Scene, half, epsilon: float, max_groups: int):
+    """solve_refractor on the half grid of shape half at the same absolute
+    epsilon, so the same delta; None with one target, below 2x2, and where
+    that solve refuses the grid (DeltaAboveCap, QuantizationTooCoarse) or
+    fails, so a scene the cold start solves never fails for it. Any other
+    ValueError is a fault and propagates. The coarse oracle is dropped on
+    return, before the caller builds its own."""
     if scene.n_targets == 1 or min(half) < 2:
         return None
-    coarse = build_quadrature(scene.cap, *half)
-    f_values = scene.intensity.values(coarse)
-    energies = node_energies(coarse, f_values)
-    if not _fine_enough(energies, delta, scene.n_targets):
-        return None
     try:
-        g = target_weights(scene, coarse, f_values)
-        return (half, *_descend(scene, coarse, energies, g, delta, max_groups)[:4])
-    except (QuantizationTooCoarse, FloorReached, MaxGroupsExceeded, SceneValidationError):
+        return solve_refractor(scene, build_quadrature(scene.cap, *half), epsilon, max_groups)
+    except (DeltaAboveCap, QuantizationTooCoarse, FloorReached, MaxGroupsExceeded,
+            SceneValidationError):
         return None
 
 
@@ -397,11 +376,12 @@ def _shift_into_membership(oracle, b, g, delta: float, cap, rate: float):
 
     The first call is at b itself. While some H_j overshoots g_j + delta,
     each coordinate becomes min(b_j + s, cap_j): s starts at SHIFT_SCALE
-    times the largest overshoot over rate, the coarse level's rate estimate,
-    and doubles after every call that still overshoots. cap, the cold start
-    vector, is a member, so the doubling ends there at the latest. The last
-    call is at b_start, so the descent's first call finds the oracle's held
-    answer.
+    times the largest overshoot over rate, the coarse solution's own
+    lipschitz_estimate, and doubles after every call that still overshoots;
+    a rate of 0 (no secant met) sends the second call straight to cap. cap,
+    the cold start vector, is a member, so the doubling ends there at the
+    latest. The last call is at b_start, so the descent's first call finds
+    the oracle's held answer.
     """
     trial, s, calls = b, 0.0, 0
     while True:

@@ -24,6 +24,7 @@ from refractor.scene import (
     initial_admissible_vector,
     load_scene,
     scene_from_dict,
+    target_weights,
 )
 from refractor.solver import FloorReached
 
@@ -272,6 +273,21 @@ def test_solve_rejects_bad_max_groups(tmp_path, capsys, value):
                  "--max-groups", value, "--out", str(out), "--log", ""]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --max-groups") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solve_epsilon_at_the_delta_cap_exits_2(tmp_path, capsys):
+    """epsilon = 4 g_1 / 3 puts delta = epsilon / 4 exactly on g_1 / (N - 1):
+    a refused epsilon, not a failed solve."""
+    scene = load_scene(CANONICAL)
+    grid = build_quadrature(scene.cap, 64, 64)
+    g0 = float(target_weights(scene, grid, scene.intensity.values(grid))[0])
+    out = tmp_path / "result.json"
+    assert main(["solve", CANONICAL, "--grid", "64x64", "--epsilon", repr(4.0 * g0 / 3.0),
+                 "--out", str(out), "--log", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta = ") and err.count("\n") == 1
+    assert "g_1/(N-1)" in err
     assert not out.exists()
 
 

@@ -31,6 +31,7 @@ from refractor.scene import (
 from refractor.solver import (
     BRACKET_TOL,
     SHIFT_SCALE,
+    DeltaAboveCap,
     FloorReached,
     MaxGroupsExceeded,
     MonotoneOracleSpec,
@@ -627,6 +628,89 @@ def test_warm_start_oracles(mirror_scene, monkeypatch):
         for b, H, _ in g_calls:
             assert np.array_equal(H, refractor_measure(mirror_scene, b, g_grid, f_g).H), b
     assert np.array_equal(sol.H, refractor_measure(mirror_scene, sol.b, grid, f_values).H)
+
+
+def test_half_grid_over_the_delta_cap_starts_cold(mirror_scene, monkeypatch):
+    """The delta cap g_1 / (N - 1) is the half grid's own, and its g_1 may
+    differ from the requested grid's. Where the half grid's g_1 puts delta on
+    its cap, the half-grid solve refuses with DeltaAboveCap, a ValueError, and
+    the requested grid, which passes its cap, starts cold: bitwise the
+    descent from the all-into-cell-1 vector."""
+    grid = build_quadrature(mirror_scene.cap, 128, 128)
+    eps = _epsilon(mirror_scene, grid, 1e-2)
+    assert solve_refractor(mirror_scene, grid, epsilon=eps).warm_start is not None
+    n = mirror_scene.n_targets
+    real = solver_module.target_weights
+
+    def half_on_cap(scene, g_grid, f_values):
+        g = real(scene, g_grid, f_values)
+        if g_grid.n_theta == 64:
+            g = g.copy()
+            g[0] = (n - 1) * (eps / n)
+        return g
+
+    real_solve = solver_module.solve
+    calls = []
+
+    def coarse_breaks_monotonicity(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:  # the deepest coarse level descends first
+            raise ValueError("iterate left the membership set")
+        return real_solve(*args, **kwargs)
+
+    # only the cap's refusal falls back: any other ValueError is a fault
+    monkeypatch.setattr(solver_module, "solve", coarse_breaks_monotonicity)
+    with pytest.raises(ValueError, match="membership"):
+        solve_refractor(mirror_scene, grid, epsilon=eps)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(solver_module, "target_weights", half_on_cap)
+    half = build_quadrature(mirror_scene.cap, 64, 64)
+    with pytest.raises(DeltaAboveCap, match="delta"):
+        solve_refractor(mirror_scene, half, epsilon=eps)
+    assert issubclass(DeltaAboveCap, ValueError)
+    sol = solve_refractor(mirror_scene, grid, epsilon=eps)
+    monkeypatch.undo()
+    b_cold, trace = _cold_solve(mirror_scene, grid, eps)
+    assert sol.warm_start is None
+    assert sol.b.tobytes() == b_cold.tobytes()
+    assert (sol.trace.groups_used, sol.trace.total_evals) == (trace.groups_used, trace.total_evals)
+
+
+def test_three_level_chain_is_the_public_half_grid_solve(canonical_scene, grid256, monkeypatch):
+    """Canonical 256x256 at 1e-2 of the total solves 64x64 cold, then 128x128
+    and 256x256 each from the level below. Each level's warm start is the
+    public solve_refractor of the half grid at the same epsilon, and the
+    shift into membership gets that solution's own rate estimate."""
+    rates = []
+    real = solver_module._shift_into_membership
+
+    def recording(oracle, b, g, delta, cap, rate):
+        rates.append(rate)
+        return real(oracle, b, g, delta, cap, rate)
+
+    monkeypatch.setattr(solver_module, "_shift_into_membership", recording)
+    sol = solve_refractor(canonical_scene, grid256, epsilon=_epsilon(canonical_scene, grid256,
+                                                                     1e-2))
+    monkeypatch.undo()
+    coarse = {n: solve_refractor(canonical_scene, build_quadrature(canonical_scene.cap, n, n),
+                                 epsilon=sol.epsilon) for n in (64, 128)}
+    for n, level in coarse.items():
+        assert level.delta == sol.delta
+    assert coarse[64].warm_start is None and coarse[128].warm_start is not None
+
+    warm = sol.warm_start
+    assert warm.grid == (128, 128)
+    assert warm.groups_used == coarse[128].trace.groups_used
+    assert warm.oracle_evaluations == coarse[128].trace.total_evals
+    assert warm.warm_start == coarse[128].warm_start
+    assert warm.warm_start.grid == (64, 64) and warm.warm_start.warm_start is None
+    assert warm.warm_start.groups_used == coarse[64].trace.groups_used
+    assert warm.warm_start.oracle_evaluations == coarse[64].trace.total_evals
+    assert (warm.shift_trials, warm.warm_start.shift_trials) == (2, 2)
+    # the 64x64 level's shift ran first, inside the 128x128 solve
+    assert rates == [coarse[64].trace.lipschitz_estimate, coarse[128].trace.lipschitz_estimate]
+    assert all(rate > 0.0 for rate in rates)
 
 
 def test_shift_doubles_up_to_the_cold_vector():
