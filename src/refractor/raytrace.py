@@ -190,13 +190,14 @@ def validate_transport(scene: Scene, b, grid: QuadratureGrid, tol_rel: float = 1
 def write_ray_csv(report: TransportReport, grid: QuadratureGrid, path) -> None:
     """Per-ray dump: node_index, theta, phi, label (1-based), rel_miss, within, crease.
 
-    CRLF line ends and repr floats, as csv.writer writes them. The distinct
+    CRLF line ends, as csv.writer writes them. theta and phi print as repr;
+    rel_miss prints as %.17g, 17 significant digits, lossless. The distinct
     values of theta, phi, label, within and crease are formatted once each;
     node_index and rel_miss are formatted per ray.
     """
     with open(path, "w", newline="") as fh:
         fh.write("node_index,theta,phi,label,rel_miss,within,crease\r\n")
-        write_rows(fh, "%d,%s,%s,%s,%r,%s,%s\r\n", (
+        write_rows(fh, "%d,%s,%s,%s,%.17g,%s,%s\r\n", (
             np.arange(grid.n_nodes),
             distinct_strings(grid.thetas, "%r"), distinct_strings(grid.phis, "%r"),
             distinct_strings(np.asarray(report.labels) + 1, "%d"),

@@ -322,10 +322,29 @@ def test_write_obj_roundtrip(canonical_scene, b_init, tmp_path):
             vn.append([float(s) for s in parts[1:]])
         elif parts[0] == "f":
             f.append([int(s.split("//")[0]) for s in parts[1:]])
-    assert np.array_equal(np.array(v), mesh.vertices)  # repr round-trips
+    assert np.array_equal(np.array(v), mesh.vertices)  # %.17g round-trips
     assert np.array_equal(np.array(vn), mesh.normals)
     assert np.array_equal(np.array(f) - 1, mesh.faces)
     assert min(min(row) for row in f) == 1
+
+
+def test_write_obj_edge_values_parse_back(edge_values, tmp_path):
+    """Every v and vn token parses to the bit pattern of its double (both zeros,
+    subnormals, infinities, 1e300, 0.1); a NaN parses as NaN."""
+    vertices = np.stack([edge_values, edge_values[::-1], np.roll(edge_values, 1)], axis=1)
+    mesh = SurfaceMesh(vertices=vertices, normals=vertices[::-1].copy(),
+                       faces=np.array([[0, 1, 2]]), labels=np.zeros(len(vertices), dtype=int))
+    write_obj(mesh, tmp_path / "edge.obj")
+    parsed = {"v": [], "vn": []}
+    for line in (tmp_path / "edge.obj").read_text().splitlines():
+        tag, *tokens = line.split()
+        if tag in parsed:
+            parsed[tag].append([float(t) for t in tokens])
+    for tag, want in (("v", mesh.vertices), ("vn", mesh.normals)):
+        got = np.array(parsed[tag])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 def test_write_label_csv(canonical_scene, b_init, grid64, tmp_path):
@@ -604,9 +623,9 @@ def _reference_obj(mesh, path):
     with open(path, "w") as fh:
         fh.write("# poly-oval refractor surface\n")
         for v in mesh.vertices:
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
+            fh.write(f"v {float(v[0]):.17g} {float(v[1]):.17g} {float(v[2]):.17g}\n")
         for n in mesh.normals:
-            fh.write(f"vn {float(n[0])!r} {float(n[1])!r} {float(n[2])!r}\n")
+            fh.write(f"vn {float(n[0]):.17g} {float(n[1]):.17g} {float(n[2]):.17g}\n")
         for f in mesh.faces:
             a, b, c = (int(i) + 1 for i in f)
             fh.write(f"f {a}//{a} {b}//{b} {c}//{c}\n")

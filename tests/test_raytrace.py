@@ -255,7 +255,7 @@ def _reference_ray_csv(report, grid, path):
         for k in range(grid.n_nodes):
             writer.writerow([
                 k, repr(float(grid.thetas[k])), repr(float(grid.phis[k])),
-                int(report.labels[k]) + 1, repr(float(report.rel_miss[k])),
+                int(report.labels[k]) + 1, "%.17g" % float(report.rel_miss[k]),
                 int(bool(report.within[k])), int(bool(report.crease[k])),
             ])
 
@@ -299,6 +299,20 @@ def test_write_ray_csv_edge_values(n, edge_column, tmp_path):
         rng.random(n) < 0.5, np.zeros(n, dtype=bool),   # phi and crease: one value each
     )
     _assert_ray_csv_matches(tmp_path, grid, report)
+
+
+def test_write_ray_csv_rel_miss_parses_back(edge_values, tmp_path):
+    """Every rel_miss token parses to the bit pattern of its double (both zeros,
+    subnormals, infinities, 1e300, 0.1); a NaN parses as NaN."""
+    n = len(edge_values)
+    grid, report = _hand_report(np.zeros(n), np.zeros(n), np.zeros(n, dtype=int), edge_values,
+                                np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+    write_ray_csv(report, grid, tmp_path / "rays.csv")
+    rows = (tmp_path / "rays.csv").read_text().splitlines()[1:]
+    got = np.array([float(row.split(",")[4]) for row in rows])
+    nan = np.isnan(edge_values)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), edge_values[~nan].view(np.int64))
 
 
 @settings(max_examples=60, deadline=None)
