@@ -1,30 +1,20 @@
 """Compare the artefacts of two scripts/run_canonical.py output directories.
 
-    python scripts/compare_outputs.py [--values] DIR_A DIR_B
+    python scripts/compare_outputs.py DIR_A DIR_B
 
 Every artefact must be byte-identical, except result.json, whose lines must
 be identical once the top-level wall_time (a timing) and scene (the path
-given on the command line) entries are dropped. With --values, surface.obj
-and rays.csv are compared token by token instead: the separators (spaces,
-commas, line ends) must be identical, a token that parses as a float on both
-sides must parse to the same float64 bit pattern, and any other token must be
-identical. So a file printing its doubles with repr matches one printing the
-same doubles with %.17g. Every other artefact is still compared byte for
-byte. Prints one line per artefact and exits 0 when all match, 1 otherwise.
+given on the command line) entries are dropped. Prints one line per
+artefact and exits 0 when all match, 1 otherwise.
 """
 
 import argparse
 import filecmp
-import itertools
 import pathlib
-import re
-import struct
 
 ARTEFACTS = ("validation.json", "trace.csv", "labels.csv", "transport.json", "rays.csv",
              "surface.obj")
-VALUE_ARTEFACTS = ("surface.obj", "rays.csv")
 RESULT_IGNORED = ("wall_time", "scene")
-SEPARATORS = re.compile(rb"([ ,\r\n]+)")
 
 
 def _result(path):
@@ -33,42 +23,13 @@ def _result(path):
             if not line.decode().startswith(ignored)]
 
 
-def _bits(token):
-    """The float64 bit pattern token parses to, or None if it is no float."""
-    try:
-        return struct.pack("<d", float(token))
-    except ValueError:
-        return None
-
-
-def same_bytes(path_a, path_b):
-    return filecmp.cmp(path_a, path_b, shallow=False)
-
-
-def _same_line_values(line_a, line_b):
-    parts_a, parts_b = SEPARATORS.split(line_a), SEPARATORS.split(line_b)
-    return len(parts_a) == len(parts_b) and all(
-        a == b or (_bits(a) is not None and _bits(a) == _bits(b))
-        for a, b in zip(parts_a, parts_b))
-
-
-def same_values(path_a, path_b):
-    """True when the two files differ at most in how their floats are printed.
-    Read line by line, so a large rays.csv is never held whole."""
-    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
-        return all(line_a == line_b or (line_a is not None and line_b is not None
-                                        and _same_line_values(line_a, line_b))
-                   for line_a, line_b in itertools.zip_longest(fa, fb))
-
-
-def compare(dir_a, dir_b, values=False):
+def compare(dir_a, dir_b):
     """[(artefact, matches)] for every artefact of the two directories."""
     a, b = pathlib.Path(dir_a), pathlib.Path(dir_b)
     rows = []
     for name in ARTEFACTS:
-        same = same_values if values and name in VALUE_ARTEFACTS else same_bytes
         rows.append((name, (a / name).is_file() and (b / name).is_file()
-                     and same(a / name, b / name)))
+                     and filecmp.cmp(a / name, b / name, shallow=False)))
     result_a, result_b = a / "result.json", b / "result.json"
     rows.append(("result.json", result_a.is_file() and result_b.is_file()
                  and _result(result_a) == _result(result_b)))
@@ -77,12 +38,10 @@ def compare(dir_a, dir_b, values=False):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--values", action="store_true",
-                    help="compare surface.obj and rays.csv floats by value, not by bytes")
     ap.add_argument("dir_a")
     ap.add_argument("dir_b")
     args = ap.parse_args()
-    rows = compare(args.dir_a, args.dir_b, values=args.values)
+    rows = compare(args.dir_a, args.dir_b)
     for name, same in rows:
         print(f"{'same' if same else 'DIFFERENT'} {name}")
     return 0 if all(same for _, same in rows) else 1

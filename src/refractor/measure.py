@@ -30,8 +30,7 @@ from .oval import _radius_from_t, dot, normals_for_directions, radius_terms
 from .parallel import map_chunks
 from .scene import Scene, check_b_vector
 
-ROWS_PER_WRITE = 16384   # rows per write: bounded memory, few calls. write_vectors
-                         # formats such a block with one % call, write_rows row by row
+ROWS_PER_WRITE = 16384   # rows per write_rows % call: bounded memory, few calls
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,41 +342,29 @@ def write_rows(fh, template: str, columns) -> None:
     """Write template % row for the rows of equal-length columns.
 
     A column is either a 1-D array, whose values go through tolist() so that
-    floats are formatted as Python floats (%r prints their repr) and integers
-    as Python ints, or a
+    floats are formatted as Python floats and integers as Python ints, or a
     (table, index) pair of a list of preformatted strings and an index array,
-    whose row k prints table[index[k]] (%s). ROWS_PER_WRITE rows are
-    formatted at a time, one % call per row. The tables stay Python lists:
+    whose row k prints table[index[k]] (%s). Each block of ROWS_PER_WRITE
+    rows is formatted by one % call on the template repeated once per row,
+    its values interleaved row by row. The tables stay Python lists:
     gathering through NumPy object arrays made the peak memory of a long run
-    creep up with every design. write_vectors formats whole blocks of float
-    rows with one % call each instead.
+    creep up with every design.
     """
     def block(column, lo):
         if isinstance(column, tuple):
             table, index = column
-            return map(table.__getitem__, index[lo:lo + ROWS_PER_WRITE].tolist())
+            return list(map(table.__getitem__, index[lo:lo + ROWS_PER_WRITE].tolist()))
         return np.asarray(column[lo:lo + ROWS_PER_WRITE]).tolist()
 
     first = columns[0]
     n = len(first[1] if isinstance(first, tuple) else first)
+    width = len(columns)
     for lo in range(0, n, ROWS_PER_WRITE):
-        rows = zip(*(block(c, lo) for c in columns))
-        fh.write("".join(map(template.__mod__, rows)))
-
-
-def write_vectors(fh, tag: str, xyz) -> None:
-    """Write "tag x y z" lines for the rows of an (n, 3) float array.
-
-    Each float prints as %.17g: 17 significant digits, which parse back to
-    the same double (-0.0 prints as -0, integral values without a point).
-    Each block of ROWS_PER_WRITE rows is formatted by one % call on a
-    repeated row template.
-    """
-    xyz = np.asarray(xyz, dtype=float)
-    row = tag + " %.17g %.17g %.17g\n"
-    for lo in range(0, len(xyz), ROWS_PER_WRITE):
-        block = xyz[lo:lo + ROWS_PER_WRITE]
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        rows = min(ROWS_PER_WRITE, n - lo)
+        values = [None] * (rows * width)
+        for k, column in enumerate(columns):
+            values[k::width] = block(column, lo)
+        fh.write((template * rows) % tuple(values))
 
 
 def write_json(obj, path) -> None:
@@ -390,16 +377,16 @@ def write_json(obj, path) -> None:
 def write_obj(mesh: SurfaceMesh, path) -> None:
     """Write the mesh as Wavefront OBJ (v/vn/f records, 1-based indices).
 
-    The v and vn floats print as %.17g, lossless, a block of rows per %
-    call (write_vectors). Each vertex's face corner "i//i" is formatted once
-    and shared by the faces around it (write_rows).
+    The v and vn floats print as %.17g, lossless. Each vertex's face corner
+    "i//i" is formatted once and shared by the faces around it. write_rows
+    formats every record, a block of rows per % call.
     """
     corner = ["%d//%d" % (i, i) for i in range(1, len(mesh.vertices) + 1)]
     faces = np.asarray(mesh.faces)
     with open(path, "w") as fh:
         fh.write("# poly-oval refractor surface\n")
-        write_vectors(fh, "v", mesh.vertices)
-        write_vectors(fh, "vn", mesh.normals)
+        write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices.T)
+        write_rows(fh, "vn %.17g %.17g %.17g\n", mesh.normals.T)
         write_rows(fh, "f %s %s %s\n", [(corner, faces[:, k]) for k in range(3)])
 
 

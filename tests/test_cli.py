@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from refractor.cli import main
 from refractor.geometry import build_quadrature
-from refractor.measure import export_mesh, node_energies
+from refractor.measure import node_energies
 from refractor.oval import DegenerateNormal, NonPositiveDiscriminant
 from refractor.scene import (
     SceneValidationError,
@@ -177,25 +177,6 @@ def test_solve_canonical_full_pipeline(tmp_path, capsys):
     text = obj.read_text()
     assert sum(1 for line in text.splitlines() if line.startswith("v ")) == 54
     assert sum(1 for line in text.splitlines() if line.startswith("f ")) == 90
-
-
-def test_mesh_floats_parse_to_export_mesh(tmp_path):
-    """mesh --from-result at the default 128x256 writes every v and vn float
-    as the double export_mesh computes for the solved b_final, bit for bit."""
-    code, out, _ = solve_canonical_64(tmp_path, "mesh")
-    assert code == 0
-    obj = tmp_path / "surface.obj"
-    assert main(["mesh", CANONICAL, "--from-result", str(out), "--out", str(obj)]) == 0
-    parsed = {"v": [], "vn": []}
-    for line in obj.read_text().splitlines():
-        tag, *tokens = line.split()
-        if tag in parsed:
-            parsed[tag].append([float(t) for t in tokens])
-    mesh = export_mesh(load_scene(CANONICAL), json.loads(out.read_text())["b_final"], 128, 256)
-    for tag, want in (("v", mesh.vertices), ("vn", mesh.normals)):
-        got = np.array(parsed[tag])
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_rate_estimate_is_largest_logged_secant(tmp_path):

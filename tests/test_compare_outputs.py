@@ -1,10 +1,8 @@
 """scripts/compare_outputs.py: byte identity of two run_canonical.py output
-directories, with result.json's wall_time and scene lines set aside; with
---values, surface.obj and rays.csv compare their floats by bit pattern."""
+directories, with result.json's wall_time and scene lines set aside."""
 
 import importlib.util
 import json
-import math
 import pathlib
 
 import pytest
@@ -51,64 +49,3 @@ def test_missing_artefact_differs(compare_outputs, tmp_path):
     _write_run(tmp_path / "b", 0.5, "s.json")
     (tmp_path / "b" / "rays.csv").unlink()
     assert dict(compare_outputs.compare(tmp_path / "a", tmp_path / "b"))["rays.csv"] is False
-
-
-# --- --values: surface.obj and rays.csv floats by bit pattern --------------------------
-
-DOUBLES = [0.1, 1.0 / 3.0, -0.0, 1.0, 5e-324, 1e-310, float("inf"), -2.5e-17, 1e300]
-
-
-def _obj(fmt, values):
-    rows = [values[k:k + 3] for k in range(0, len(values), 3)]
-    return "".join(["# poly-oval refractor surface\n",
-                    *(f"v {fmt % x} {fmt % y} {fmt % z}\n" for x, y, z in rows),
-                    "f 1//1 2//2 3//3\n"]).encode()
-
-
-def _rays(fmt, values):
-    return "".join(["node_index,theta,phi,label,rel_miss,within,crease\r\n",
-                    *(f"{k},{0.5!r},{0.25!r},1,{fmt % v},1,0\r\n" for k, v in enumerate(values))]
-                   ).encode()
-
-
-def _value_runs(tmp_path, values_b):
-    _write_run(tmp_path / "a", 0.5, "s.json")
-    _write_run(tmp_path / "b", 0.5, "s.json")
-    for side, fmt, values in (("a", "%r", DOUBLES), ("b", "%.17g", values_b)):
-        (tmp_path / side / "surface.obj").write_bytes(_obj(fmt, values))
-        (tmp_path / side / "rays.csv").write_bytes(_rays(fmt, values))
-
-
-def test_values_match_across_float_formats(compare_outputs, tmp_path):
-    _value_runs(tmp_path, DOUBLES)
-    assert (tmp_path / "a" / "surface.obj").read_bytes() != (tmp_path / "b" / "surface.obj").read_bytes()
-    assert all(same for _, same in compare_outputs.compare(tmp_path / "a", tmp_path / "b", values=True))
-    assert dict(compare_outputs.compare(tmp_path / "a", tmp_path / "b")) == {
-        n: n not in compare_outputs.VALUE_ARTEFACTS for n in (*compare_outputs.ARTEFACTS, "result.json")}
-
-
-@pytest.mark.parametrize("k", range(len(DOUBLES)))
-def test_values_one_ulp_differs(compare_outputs, tmp_path, k):
-    moved = list(DOUBLES)
-    moved[k] = math.nextafter(moved[k], 0.0 if moved[k] else 1.0)
-    _value_runs(tmp_path, moved)
-    assert dict(compare_outputs.compare(tmp_path / "a", tmp_path / "b", values=True)) == {
-        n: n not in compare_outputs.VALUE_ARTEFACTS for n in (*compare_outputs.ARTEFACTS, "result.json")}
-
-
-@pytest.mark.parametrize("old, new", [(b"2//2", b"2//3"), (b"\n", b"\r\n"), (b" ", b"  ")])
-def test_values_non_float_tokens_and_separators_compare_by_bytes(compare_outputs, tmp_path,
-                                                                  old, new):
-    _value_runs(tmp_path, DOUBLES)
-    path = tmp_path / "b" / "surface.obj"
-    path.write_bytes(path.read_bytes().replace(old, new, 1))
-    assert dict(compare_outputs.compare(tmp_path / "a", tmp_path / "b", values=True))[
-        "surface.obj"] is False
-
-
-def test_values_leave_other_artefacts_to_bytes(compare_outputs, tmp_path):
-    _value_runs(tmp_path, DOUBLES)
-    path = tmp_path / "b" / "labels.csv"
-    path.write_bytes(b"labels.csv 1.0\r\n")   # same value, other bytes
-    assert dict(compare_outputs.compare(tmp_path / "a", tmp_path / "b", values=True))[
-        "labels.csv"] is False
