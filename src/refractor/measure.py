@@ -21,6 +21,7 @@ finds in closed form where H_j reaches a target value.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .oval import _radius_from_t, dot, normals_for_directions, radius_terms
 from .parallel import map_chunks
 from .scene import Scene, check_b_vector
 
-ROWS_PER_WRITE = 16384   # rows per write_rows % call: bounded memory, few calls
+ROWS_PER_WRITE = 16384   # rows per write_rows buffer: bounded memory, few writes
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,51 +321,242 @@ def export_mesh(scene: Scene, b, n_theta: int, n_phi: int) -> SurfaceMesh:
 
 
 def distinct_strings(values, fmt: str):
-    """Format each distinct value of a 1-D column once: a list table and an
-    index array with table[index[k]] == fmt % values[k] for every row k.
+    """Format each distinct value of a 1-D float column once: a list table and
+    an index array with table[index[k]] == fmt % values[k] for every row k.
 
     For columns that are functions of the grid, whose few distinct values
-    repeat over many rows. Floats are told apart by bit pattern, so -0.0 and
-    0.0 keep their own strings, and every value is formatted as the Python
-    float or int that tolist() would give.
+    repeat over many rows. Values are told apart by bit pattern, so -0.0 and
+    0.0 keep their own strings, and each is formatted as the Python float
+    that tolist() would give.
     """
-    values = np.asarray(values)
-    if values.dtype.kind == "f":
-        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-        keys, index = np.unique(bits, return_inverse=True)
-        keys = keys.view(np.float64)
-    else:
-        keys, index = np.unique(values, return_inverse=True)
-    return [fmt % v for v in keys.tolist()], index
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    keys, index = np.unique(bits, return_inverse=True)
+    return [fmt % v for v in keys.view(np.float64).tolist()], index
+
+
+# --- row writer ---------------------------------------------------------------
+#
+# write_rows assembles a block of text rows as a uint8 array, one array row per
+# text row. Each conversion owns a slot at least as wide as its widest token
+# in the block, and a zero byte in a slot marks a byte that is not written:
+# the zeros go in one bytes.translate before the block is written. The text
+# itself holds no NUL character.
+
+_CONVERSION = re.compile(r"%(?:\.17g|[dsr])")
+
+
+def _parse_template(template: str):
+    """Split a row template into its literal texts and its %d, %s, %r and
+    %.17g conversions, with len(literals) == len(conversions) + 1."""
+    literals = _CONVERSION.split(template)
+    if any("%" in text or "\0" in text for text in literals):
+        raise ValueError(f"unsupported row template {template!r}")
+    return literals, _CONVERSION.findall(template)
+
+
+def _encode(strings):
+    """Slots of a list of ASCII strings: a (k, w) uint8 array of the strings,
+    left-aligned and padded with zero bytes."""
+    if "\0" in "".join(strings):
+        raise ValueError("a text row cannot hold a NUL character")
+    tok = np.array(strings, dtype="S")
+    return tok.view(np.uint8).reshape(len(strings), tok.itemsize)
+
+
+def _int_tokens(values):
+    """%d slots of an integer array: a sign byte, then the digits right-aligned,
+    with zeros for the sign of a nonnegative value and for leading zeros."""
+    a = np.abs(values.astype(np.int64, copy=False)).view(np.uint64)   # |-2**63| too
+    width = len(str(int(a.max())))
+    if width <= 9:
+        a = a.astype(np.int32)   # 32-bit division is the faster
+    tok = np.empty((a.size, width + 1), np.uint8)
+    tok[:, 0] = (values < 0) * ord("-")
+    q = a
+    for i in range(width, 0, -1):
+        p = q // 10
+        digit = q - 10 * p + ord("0")
+        tok[:, i] = digit if i == width else digit * (q != 0)
+        q = p
+    return tok
+
+
+def _split(x):
+    """Veltkamp's split: x == hi + lo exactly, each with at most 26 significant bits."""
+    c = x * 134217729.0
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _pow10(k: int):
+    """10**k as a double-double: the double nearest it and the double nearest
+    the remainder."""
+    if k >= 0:
+        hi = float(10 ** k)
+        return hi, float(10 ** k - int(hi))
+    hi = 1 / 10 ** -k
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * 10 ** -k) / (den * 10 ** -k)
+
+
+_G17_EXPONENTS = (-99, 99)   # the decimal exponents of the vectorized %.17g
+_POW10, _POW10_LO = np.array([_pow10(16 - e) for e in range(_G17_EXPONENTS[0],
+                                                           _G17_EXPONENTS[1] + 1)]).T
+_POW10_HI_HI, _POW10_HI_LO = _split(_POW10)
+# a sign, "0." and three zeros for fixed notation below 1, the 17 digits with a
+# point after each of the first 16, then "e", both exponent signs and two
+# exponent digits
+_G17_FRAME = np.frombuffer(b"-0.000" + b"0." * 16 + b"0" + b"e+-00", np.uint8)
+
+
+def _g17_slots(negative, e, last):
+    """_G17_FRAME with zeros for the bytes that the %.17g token of a value
+    drops, from its sign, its decimal exponent e and the index of its last
+    nonzero digit. Fixed notation (-4 <= e <= 16) keeps the digits up to the
+    last nonzero one or the units digit, whichever comes later, and the point
+    after the units digit when digits follow it. Exponent notation keeps the
+    digits up to the last nonzero one, the point after the first when digits
+    follow it, then "e", the exponent's sign and its two digits."""
+    fixed = (-4 <= e) & (e <= 16)
+    units = np.where(fixed, e, 0)   # the digit the point follows
+    keep = np.empty((e.size, _G17_FRAME.size), bool)
+    keep[:, 0] = negative
+    keep[:, 1] = keep[:, 2] = fixed & (e < 0)
+    keep[:, 3:6] = np.arange(3) < np.where(fixed, -1 - e, 0)[:, None]
+    keep[:, 6:39:2] = np.arange(17) <= np.maximum(last, units)[:, None]
+    keep[:, 7:39:2] = (np.arange(16) == units[:, None]) & (last > units)[:, None]
+    keep[:, 39] = keep[:, 42] = keep[:, 43] = ~fixed
+    keep[:, 40] = ~fixed & (e > 0)
+    keep[:, 41] = ~fixed & (e < 0)
+    return np.where(keep, _G17_FRAME, 0).astype(np.uint8)
+
+
+# _g17_slots for every (negative, exponent class, last), at row
+# 391 negative + 17 class + last: the 23 exponent classes are -99..-5, each of
+# -4..16, and 17..99. _G17_ROW[e + 99] is 17 class.
+_G17_SLOTS = _g17_slots(*(g.ravel() for g in np.meshgrid(
+    [False, True], np.arange(-5, 18), np.arange(17), indexing="ij")))
+_G17_ROW = 17 * (np.clip(np.arange(_G17_EXPONENTS[0], _G17_EXPONENTS[1] + 1), -5, 17) + 5)
+
+
+def _g17_tokens(x):
+    """%.17g slots of a float64 array.
+
+    For x with decimal exponent e (|x| = m 10**e, 1 <= m < 10) in -99..99,
+    the 17 significant digits are N = round(|x| 10**(16 - e)). 10**(16 - e)
+    is held as a double-double p + p_lo (p_lo = 0 where 10**(16 - e) is a
+    double). Dekker's two-product gives |x| p = hi + lo exactly, and
+    lo += |x| p_lo puts hi + lo within 1e-14 of the exact product. hi is at
+    least 2**53, so integral, and N = hi + rint(lo) unless lo lies within
+    2**-40 of a tie. The digits go into a row of _G17_SLOTS, which holds
+    what %.17g prints around them: fixed notation for -4 <= e <= 16,
+    exponent notation otherwise, trailing zeros cut. A value goes through
+    Python's % on its own when this cannot prove its bytes: zeros,
+    infinities, NaNs, |x| below 1e-99 (subnormals too) or from 1e100 on,
+    lo within 2**-40 of a tie, and any N outside (10**16, 10**17), where
+    log10 misjudged e or the rounding carries into an 18th digit.
+    """
+    e_min, e_max = _G17_EXPONENTS
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):   # NaN
+        fast = (a >= 10.0 ** e_min) & (a < 10.0 ** (e_max + 1))
+        negative = x < 0
+    a = np.where(fast, a, 1.5)
+    e = np.clip(np.floor(np.log10(a)), e_min, e_max).astype(np.intp)
+    k = e - e_min
+    hi = a * _POW10[k]
+    ah, al = _split(a)
+    ph, pl = _POW10_HI_HI[k], _POW10_HI_LO[k]
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl + a * _POW10_LO[k]
+    r = np.rint(lo)
+    fast &= (hi >= 1e16) & (hi <= 1e17) & (np.abs(lo - r) < 0.5 - 2.0 ** -40)
+    n = np.where(fast, hi, 0.0).astype(np.int64) + np.where(fast, r, 0.0).astype(np.int64)
+    fast &= (n > 10 ** 16) & (n < 10 ** 17)
+
+    digits = np.empty((x.size, 17), np.uint8)
+    for half, places in ((n // 10 ** 9, range(7, -1, -1)), (n % 10 ** 9, range(16, 7, -1))):
+        q = half.astype(np.int32)   # below 10**9
+        for i in places:
+            p = q // 10
+            digits[:, i] = q - 10 * p
+            q = p
+    last = np.full(x.size, 16)   # the last nonzero digit
+    z = np.flatnonzero(digits[:, 16] == 0)
+    last[z] = 16 - np.argmax(digits[z, ::-1] != 0, axis=1)
+    tok = _G17_SLOTS.take(_G17_ROW.take(k) + 391 * negative + last, axis=0)
+    tok[:, 6:39:2] += digits   # a dropped digit is a trailing zero
+    sci = np.flatnonzero((e < -4) | (e > 16))   # exponent notation
+    if sci.size:
+        exponent = np.abs(e[sci])
+        tok[sci, 42] += (exponent // 10).astype(np.uint8)
+        tok[sci, 43] += (exponent % 10).astype(np.uint8)
+
+    slow = ~fast
+    if slow.any():
+        stok = _encode(["%.17g" % v for v in x[slow].tolist()])
+        tok[slow] = 0
+        tok[slow, :stok.shape[1]] = stok
+    return tok[:, tok.any(axis=0)]   # drop the frame bytes no token of the block keeps
+
+
+def _tokens(conversion, values):
+    """The slots of conversion % v for each value v of a 1-D block: %d and
+    %.17g vectorized, and every other conversion through Python's % one value
+    at a time."""
+    kind = values.dtype.kind
+    if conversion == "%d" and kind in "bi":
+        return _int_tokens(values)
+    if conversion == "%.17g" and kind == "f":
+        return _g17_tokens(values.astype(np.float64, copy=False))
+    return _encode([conversion % v for v in values.tolist()])
 
 
 def write_rows(fh, template: str, columns) -> None:
     """Write template % row for the rows of equal-length columns.
 
-    A column is either a 1-D array, whose values go through tolist() so that
-    floats are formatted as Python floats and integers as Python ints, or a
-    (table, index) pair of a list of preformatted strings and an index array,
-    whose row k prints table[index[k]] (%s). Each block of ROWS_PER_WRITE
-    rows is formatted by one % call on the template repeated once per row,
-    its values interleaved row by row. The tables stay Python lists:
-    gathering through NumPy object arrays made the peak memory of a long run
-    creep up with every design.
-    """
-    def block(column, lo):
-        if isinstance(column, tuple):
-            table, index = column
-            return list(map(table.__getitem__, index[lo:lo + ROWS_PER_WRITE].tolist()))
-        return np.asarray(column[lo:lo + ROWS_PER_WRITE]).tolist()
+    A column is either a 1-D array (or list), whose values are formatted as
+    the Python floats or ints that tolist() gives, or a (table, index) pair
+    of a list of preformatted strings and an index array, whose row k prints
+    table[index[k]] (%s). The bytes are those of template % row, row by row.
 
+    The template holds %d, %s, %r and %.17g conversions and is parsed once
+    into literal texts and conversions. Each block of ROWS_PER_WRITE rows is
+    assembled as one uint8 array and written with one fh.write. A %d column's digits come from a vectorized division
+    by 10; a %.17g column's from _g17_tokens, which sends the values whose
+    bytes it cannot prove through Python's %; a table is encoded once per
+    call and gathered by index; every other conversion (the %r of trace.csv)
+    goes through Python's % one value at a time. A column passed twice (the
+    same object) in the same conversion is formatted once per block.
+    """
+    columns = list(columns)   # one object per column, so id() names it
+    literals, conversions = _parse_template(template)
+    if len(conversions) != len(columns):
+        raise TypeError(f"{template!r} takes {len(conversions)} columns, got {len(columns)}")
+    literals = [np.frombuffer(text.encode("ascii"), np.uint8) for text in literals]
+    tables = [_encode([conv % s for s in column[0]]) if isinstance(column, tuple) else None
+              for column, conv in zip(columns, conversions)]
     first = columns[0]
     n = len(first[1] if isinstance(first, tuple) else first)
-    width = len(columns)
     for lo in range(0, n, ROWS_PER_WRITE):
-        rows = min(ROWS_PER_WRITE, n - lo)
-        values = [None] * (rows * width)
-        for k, column in enumerate(columns):
-            values[k::width] = block(column, lo)
-        fh.write((template * rows) % tuple(values))
+        hi = min(n, lo + ROWS_PER_WRITE)
+        made = {}
+        for column, conv, table in zip(columns, conversions, tables):
+            if (id(column), conv) not in made:
+                made[id(column), conv] = (_tokens(conv, np.asarray(column[lo:hi]))
+                                          if table is None
+                                          else table.take(column[1][lo:hi], axis=0))
+        slots = [made[id(column), conv] for column, conv in zip(columns, conversions)]
+        row = np.concatenate([x for lit, tok in zip(literals, slots)
+                              for x in (lit, np.zeros(tok.shape[1], np.uint8))] + [literals[-1]])
+        buf = np.empty((hi - lo, row.size), np.uint8)
+        buf[:] = row
+        at = 0
+        for lit, tok in zip(literals, slots):
+            at += lit.size
+            buf[:, at:at + tok.shape[1]] = tok
+            at += tok.shape[1]
+        del made, slots   # buf holds the tokens: free them before its copies below
+        fh.write(buf.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def write_json(obj, path) -> None:
@@ -377,31 +569,29 @@ def write_json(obj, path) -> None:
 def write_obj(mesh: SurfaceMesh, path) -> None:
     """Write the mesh as Wavefront OBJ (v/vn/f records, 1-based indices).
 
-    The v and vn floats print as %.17g, lossless. Each vertex's face corner
-    "i//i" is formatted once and shared by the faces around it. write_rows
-    formats every record, a block of rows per % call.
+    The v and vn floats print as %.17g, lossless; the f lines as
+    "f %d//%d %d//%d %d//%d" over faces + 1. write_rows formats every record.
     """
-    corner = ["%d//%d" % (i, i) for i in range(1, len(mesh.vertices) + 1)]
-    faces = np.asarray(mesh.faces)
+    corners = list(np.asarray(mesh.faces).T + 1)
     with open(path, "w") as fh:
         fh.write("# poly-oval refractor surface\n")
         write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices.T)
         write_rows(fh, "vn %.17g %.17g %.17g\n", mesh.normals.T)
-        write_rows(fh, "f %s %s %s\n", [(corner, faces[:, k]) for k in range(3)])
+        write_rows(fh, "f %d//%d %d//%d %d//%d\n", [c for c in corners for _ in range(2)])
 
 
 def write_label_csv(path, grid: QuadratureGrid, f_values, labels) -> None:
     """Per-node dump: node_index, theta, phi, weight, f, label (targets 1-based).
 
-    CRLF line ends and repr floats, as csv.writer writes them. Every column
-    but node_index is a function of the grid, so each of its distinct values
-    is formatted once.
+    CRLF line ends and repr floats, as csv.writer writes them. The float
+    columns are functions of the grid, so each of their distinct values is
+    formatted once; node_index and label are integer columns.
     """
     f_values = np.asarray(f_values, dtype=float)
     with open(path, "w", newline="") as fh:
         fh.write("node_index,theta,phi,weight,f,label\r\n")
-        write_rows(fh, "%d,%s,%s,%s,%s,%s\r\n", (
+        write_rows(fh, "%d,%s,%s,%s,%s,%d\r\n", (
             np.arange(grid.n_nodes),
             *(distinct_strings(c, "%r") for c in (grid.thetas, grid.phis, grid.weights, f_values)),
-            distinct_strings(np.asarray(labels) + 1, "%d"),
+            np.asarray(labels) + 1,
         ))

@@ -190,18 +190,18 @@ def validate_transport(scene: Scene, b, grid: QuadratureGrid, tol_rel: float = 1
 def write_ray_csv(report: TransportReport, grid: QuadratureGrid, path) -> None:
     """Per-ray dump: node_index, theta, phi, label (1-based), rel_miss, within, crease.
 
-    CRLF line ends, as csv.writer writes them. theta and phi print as repr;
-    rel_miss prints as %.17g, 17 significant digits, lossless. The distinct
-    values of theta, phi, label, within and crease are formatted once each;
-    node_index and rel_miss are formatted per ray.
+    CRLF line ends, as csv.writer writes them. theta and phi print as repr,
+    each distinct value formatted once; rel_miss prints as %.17g, 17
+    significant digits, lossless; node_index, label, within and crease are
+    integer columns (a bool prints as 0 or 1).
     """
     with open(path, "w", newline="") as fh:
         fh.write("node_index,theta,phi,label,rel_miss,within,crease\r\n")
-        write_rows(fh, "%d,%s,%s,%s,%.17g,%s,%s\r\n", (
+        write_rows(fh, "%d,%s,%s,%d,%.17g,%d,%d\r\n", (
             np.arange(grid.n_nodes),
             distinct_strings(grid.thetas, "%r"), distinct_strings(grid.phis, "%r"),
-            distinct_strings(np.asarray(report.labels) + 1, "%d"),
+            np.asarray(report.labels) + 1,
             np.asarray(report.rel_miss, dtype=float),
-            distinct_strings(np.asarray(report.within, dtype=bool), "%d"),
-            distinct_strings(np.asarray(report.crease, dtype=bool), "%d"),
+            np.asarray(report.within, dtype=bool),
+            np.asarray(report.crease, dtype=bool),
         ))

@@ -1,6 +1,9 @@
 """Cell decomposition, energy measure, and mesh export for poly-oval surfaces."""
 
 import csv
+import io
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +20,7 @@ from refractor.measure import (
     SurfaceMesh,
     _fold,
     assign_cells,
+    distinct_strings,
     export_mesh,
     flood_vector,
     node_energies,
@@ -26,6 +30,7 @@ from refractor.measure import (
     surface,
     write_label_csv,
     write_obj,
+    write_rows,
 )
 from refractor.oval import (
     NonPositiveDiscriminant,
@@ -737,3 +742,129 @@ def test_writers_match_reference_on_drawn_columns(data, edge_values, tmp_path_fa
                            faces=np.stack([column(range(n)) for _ in range(3)], axis=1),
                            labels=np.zeros(n, dtype=int))
         _assert_obj_matches(out, mesh)
+
+
+# --- write_rows against the block-% writer it replaced -----------------------------
+
+def _reference_write_rows(fh, template, columns):
+    """The block-% row writer that write_rows replaced: each block of
+    ROWS_PER_WRITE rows is formatted by one % call on the template repeated
+    once per row, its values interleaved row by row, each value from tolist()
+    and each table gathered by index."""
+    rows_per_write = measure_module.ROWS_PER_WRITE
+
+    def block(column, lo):
+        if isinstance(column, tuple):
+            table, index = column
+            return list(map(table.__getitem__, index[lo:lo + rows_per_write].tolist()))
+        return np.asarray(column[lo:lo + rows_per_write]).tolist()
+
+    first = columns[0]
+    n = len(first[1] if isinstance(first, tuple) else first)
+    width = len(columns)
+    for lo in range(0, n, rows_per_write):
+        rows = min(rows_per_write, n - lo)
+        values = [None] * (rows * width)
+        for k, column in enumerate(columns):
+            values[k::width] = block(column, lo)
+        fh.write((template * rows) % tuple(values))
+
+
+def _assert_rows_match(template, columns):
+    got, ref = io.StringIO(), io.StringIO()
+    write_rows(got, template, columns)
+    _reference_write_rows(ref, template, columns)
+    assert got.getvalue() == ref.getvalue()
+
+
+def _bits_to_float(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# any bit pattern, hypothesis' own floats, and m 10**k over every exponent the
+# vectorized %.17g takes and a little beyond
+_FLOAT64 = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_bits_to_float),
+    st.floats(),
+    st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.integers(-105, 105)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_write_rows_matches_block_percent_on_drawn_values(data):
+    """%.17g and %r over drawn float64 values and %d over drawn int64 values,
+    in blocks of 1 to 8 rows, give the bytes of the block-% writer."""
+    n = data.draw(st.integers(0, 24))
+    floats = np.array(data.draw(st.lists(_FLOAT64, min_size=n, max_size=n)), dtype=np.float64)
+    more = np.array(data.draw(st.lists(_FLOAT64, min_size=n, max_size=n)), dtype=np.float64)
+    ints = np.array(data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                       min_size=n, max_size=n)), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure_module, "ROWS_PER_WRITE", data.draw(st.integers(1, 8)))
+        _assert_rows_match("%d %.17g,%r;%.17g|%s %d\r\n",
+                           [ints, floats, more, -floats, distinct_strings(more, "%r"), ints // 7])
+
+
+def _tie_values():
+    """Doubles whose 17-digit rounding is an exact tie, with their decimal
+    exponents: x = odd / 2**(17 - e) in [10**e, 10**(e + 1)) has
+    x 10**(16 - e) = odd 5**(16 - e) / 2. e = -1 gives odd / 2**18 in [0.1, 1)."""
+    values, exponents = [], []
+    for e in range(-8, 16):
+        scale = 2 ** (17 - e)
+        first = math.ceil(Fraction(10) ** e * scale) | 1
+        stop = min(math.ceil(Fraction(10) ** (e + 1) * scale), 2 ** 53)
+        step = max(2, (stop - first) // 60 // 2 * 2)
+        for odd in range(first, stop, step):
+            values.append(odd / scale)
+            exponents.append(e)
+    return np.array(values), exponents
+
+
+@pytest.mark.parametrize("rows_per_write", [3, ROWS_PER_WRITE])
+def test_write_rows_fixed_cases(rows_per_write, edge_values, monkeypatch):
+    """Exact ties; every power of ten from 1e-5 to 1e17 and both its
+    neighbours; the largest double below 1e-4 and below 1e17; integral values,
+    both zeros, subnormals and NaN payloads: each through %.17g and %r,
+    with either sign, gives the bytes of the block-% writer."""
+    ties, exponents = _tie_values()
+    assert all((Fraction(x) * Fraction(10) ** (16 - e)).denominator == 2
+               for x, e in zip(ties.tolist(), exponents))
+    powers = np.array([10.0 ** k for k in range(-5, 18)])
+    values = np.concatenate((
+        ties, powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [9.9999999999999995e-05, 1e16, 99999999999999984.0],
+        [1.0, 3.0, 1234.0, 2.0 ** 52 + 1, 2.0 ** 53, 1e15, 123456789012345680.0],
+        [2.2250738585072009e-308, 2.2250738585072014e-308, 1e-99, 1e100], edge_values,
+    ))
+    assert np.count_nonzero(np.isnan(values)) == 3
+    monkeypatch.setattr(measure_module, "ROWS_PER_WRITE", rows_per_write)
+    for column in (values, -values):
+        _assert_rows_match("v %.17g %r\n", [column, column])
+
+
+def test_write_rows_integers_at_their_limits():
+    """%d over every digit count, both signs, int64's extremes, unsigned and
+    bool columns."""
+    ints = np.array([0, 1, -1, 9, 10, -10, 2 ** 31, -2 ** 31 - 1, 2 ** 63 - 1, -2 ** 63]
+                    + [10 ** k + d for k in range(19) for d in (-1, 0)], dtype=np.int64)
+    _assert_rows_match("%d,%d\n", [ints, -(ints + 1)])
+    _assert_rows_match("%d %d %d\n", [np.arange(5, dtype=np.uint32), np.arange(5) % 2 == 0,
+                                      np.arange(5, dtype=np.uint64)])
+
+
+def test_write_rows_zero_rows_write_nothing():
+    fh = io.StringIO()
+    write_rows(fh, "%d,%.17g,%r\n", [[], np.empty(0), []])
+    assert fh.getvalue() == ""
+
+
+def test_write_rows_refuses_what_it_cannot_write():
+    for template in ("%(name)s\n", "%d%%\n", "%5.2f\n", "%d\0\n"):
+        with pytest.raises(ValueError, match="template"):
+            write_rows(io.StringIO(), template, [[1]])
+    with pytest.raises(TypeError, match="columns"):
+        write_rows(io.StringIO(), "%d,%d\n", [[1]])
+    with pytest.raises(ValueError, match="NUL"):
+        write_rows(io.StringIO(), "%s\n", [(["a\0"], np.zeros(1, dtype=int))])

@@ -6,6 +6,7 @@ binding, whose steps land at the oracle's closed-form crossing, is then
 exercised on small grids.
 """
 
+import csv
 import weakref
 
 import numpy as np
@@ -821,3 +822,24 @@ def test_write_convergence_csv(tmp_path):
     assert first[2] == "2"  # ...adjusts coordinate 2: coordinates are 1-based in the log
     assert float(first[3]) == trace.steps[0].b_old
     assert float(first[6]) == trace.steps[0].g_after
+
+
+def _reference_convergence_csv(trace, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["group", "step", "coordinate", "b_old", "b_new",
+                         "G_target_before", "G_target_after", "oracle_evals"])
+        for s in trace.steps:
+            writer.writerow([s.group, s.coordinate, s.coordinate + 1, repr(s.b_old),
+                             repr(s.b_new), repr(s.g_before), repr(s.g_after), s.oracle_evals])
+
+
+def test_write_convergence_csv_bytes_match_reference(mirror_scene, single_scene, tmp_path):
+    """A refractor solve's log, and a single-target solve's, which has no
+    step, so every column has zero rows: the bytes csv.writer writes."""
+    for scene, n in ((mirror_scene, 128), (single_scene, 32)):
+        trace = solve_refractor(scene, build_quadrature(scene.cap, n, n)).trace
+        assert (len(trace.steps) > 0) == (scene.n_targets > 1)
+        write_convergence_csv(trace, tmp_path / "got.csv")
+        _reference_convergence_csv(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
